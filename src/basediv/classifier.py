@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cones import GeometricContext, in_bk_closure
-from .errors import ConsistencyError, DomainError, HypothesisError
+from .errors import CapabilityError, ConsistencyError, DomainError, HypothesisError
 from .lattice import (
     Vec,
     divisibility,
@@ -41,6 +41,10 @@ from .riemann_roch import (
     invert_binomial,
     rr_eval,
 )
+
+# kumn_nonexistence_search refuses when its (n, m, d, q_F) case count times
+# the largest n (the cost of one binomial grows with n) exceeds this.
+KUMN_SEARCH_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -239,6 +243,13 @@ def kumn_nonexistence_search(
         raise DomainError("base-divisor multiplicities start at m = 2")
     if any(d < 1 for d in d_vals):
         raise DomainError("d = (L, F) must be positive")
+    cases = len(n_vals) * len(m_vals) * sum(d_vals)
+    work = cases * max(n_vals, default=0)
+    if work > KUMN_SEARCH_LIMIT:
+        raise CapabilityError(
+            f"Kum^n search over {cases} (n, m, d, q_F) cases up to n = {max(n_vals)} costs {work};"
+            f" the limit on cases * max(n) is {KUMN_SEARCH_LIMIT}"
+        )
     hits: list[tuple[int, int, int, int]] = []
     for n in n_vals:
         for m in m_vals:

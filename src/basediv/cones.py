@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import ConsistencyError, DomainError, IntegralityError, StructuralError
+from .errors import CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError
 from .lattice import (
     Lattice,
     Vec,
@@ -43,6 +43,9 @@ from .lattice import (
     vec_sub,
 )
 from .riemann_roch import DeformationType, deformation_from_json_dict
+
+# rank2_exceptional_scan visits (2*bound + 1)^2 points; refuse beyond this bound.
+RANK2_SCAN_BOUND_LIMIT = 500
 
 
 @dataclass(frozen=True)
@@ -131,6 +134,13 @@ def run_context_checks(
     return checks
 
 
+def _json_strong_rlf(data: dict) -> bool:
+    flag = data.get("strong_rlf", False)
+    if not isinstance(flag, bool):
+        raise StructuralError(f'context "strong_rlf" must be a JSON boolean, got {flag!r}')
+    return flag
+
+
 class GeometricContext:
     """Lattice + ample class + declared divisor data + hypothesis flags.
 
@@ -198,7 +208,7 @@ class GeometricContext:
             data.get("peds", ()),
             data.get("walls", ()),
             dtype=dtype,
-            strong_rlf=data.get("strong_rlf", False),
+            strong_rlf=_json_strong_rlf(data),
             note=data.get("note"),
         )
 
@@ -237,6 +247,10 @@ def validate_context_payload(data) -> tuple[GeometricContext | None, list[Contex
             checks.append(ContextCheck("deformation", False, str(exc), structural=True))
     else:
         checks.append(ContextCheck("deformation", True, "absent (classification unavailable)"))
+    try:
+        strong_rlf = _json_strong_rlf(data)
+    except StructuralError as exc:
+        checks.append(ContextCheck("strong_rlf", False, str(exc), structural=True))
     checks.extend(run_context_checks(lat, data["ample"], data.get("peds", ()), data.get("walls", ())))
     if all(c.passed for c in checks):
         ctx = GeometricContext(
@@ -245,7 +259,7 @@ def validate_context_payload(data) -> tuple[GeometricContext | None, list[Contex
             data.get("peds", ()),
             data.get("walls", ()),
             dtype=dtype,
-            strong_rlf=data.get("strong_rlf", False),
+            strong_rlf=strong_rlf,
             note=data.get("note"),
         )
         return ctx, checks
@@ -418,6 +432,8 @@ def rank2_exceptional_scan(bound: int) -> list[Vec]:
     """
     if bound < 1:
         raise DomainError("bound must be >= 1")
+    if bound > RANK2_SCAN_BOUND_LIMIT:
+        raise CapabilityError(f"rank-2 scan bound {bound} exceeds the limit {RANK2_SCAN_BOUND_LIMIT}")
     u = hyperbolic_plane()
     out = []
     for a in range(-bound, bound + 1):
@@ -443,5 +459,6 @@ def k3_ped_candidates(lat: Lattice, coeff_bound: int, ample: Sequence[int] | Non
     out = enumerate_vectors(lat, -2, coeff_bound)
     if ample is not None:
         h = lat.vector(ample)
-        out = [v for v in out if pairing(lat, h, v) > 0]
+        gh = [sum(g * hi for g, hi in zip(row, h)) for row in lat.gram]
+        out = [v for v in out if sum(a * x for a, x in zip(gh, v)) > 0]
     return out

@@ -9,7 +9,6 @@ integer arithmetic; no floating point enters this module.
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, DomainError, StructuralError
@@ -18,6 +17,8 @@ Vec = tuple[int, ...]
 
 # Exhaustive box enumeration is exponential in the rank; refuse beyond this.
 ENUM_RANK_LIMIT = 6
+# ... and visits (2B+1)^(rank-1) prefixes (at rank 1, one row of 2B+1).
+ENUM_PREFIX_LIMIT = 10**6
 
 
 def _as_int(x) -> int:
@@ -74,7 +75,10 @@ class Lattice:
     def from_json_dict(cls, data: dict) -> "Lattice":
         if not isinstance(data, dict) or "gram" not in data:
             raise StructuralError('lattice JSON must be an object with a "gram" key')
-        return cls(data["gram"], data.get("even"))
+        even = data.get("even")
+        if even is not None and not isinstance(even, bool):
+            raise StructuralError(f'lattice "even" must be a JSON boolean or null, got {even!r}')
+        return cls(data["gram"], even)
 
     def __eq__(self, other) -> bool:
         return (
@@ -184,7 +188,10 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
     """All vectors with |coords| <= coeff_bound and q(v) = square_value.
 
     Exhaustive within the box, returned in lexicographic order (so output
-    is deterministic and closed under negation).
+    is deterministic and closed under negation).  Coordinates 0..r-2 run
+    over the box; for each such prefix the last coordinate x solves
+    g*x^2 + 2*b*x + c = square_value exactly, so the cost is
+    (2B+1)^(r-1) prefixes rather than (2B+1)^r points.
     """
     if lat.rank > ENUM_RANK_LIMIT:
         raise CapabilityError(
@@ -192,8 +199,47 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
         )
     if coeff_bound < 1:
         raise DomainError("coeff_bound must be >= 1")
-    out = []
-    for v in product(range(-coeff_bound, coeff_bound + 1), repeat=lat.rank):
-        if pairing(lat, v, v) == square_value:
-            out.append(v)
+    prefixes = (2 * coeff_bound + 1) ** max(lat.rank - 1, 1)
+    if prefixes > ENUM_PREFIX_LIMIT:
+        raise CapabilityError(
+            f"box enumeration at rank {lat.rank}, bound {coeff_bound} visits {prefixes} prefixes;"
+            f" the limit is {ENUM_PREFIX_LIMIT}"
+        )
+    out: list[Vec] = []
+    _extend(lat.gram, range(-coeff_bound, coeff_bound + 1), (), -square_value, [0] * lat.rank, out)
     return out
+
+
+def _extend(gram, box: range, prefix: Vec, c: int, lin: list[int], out: list[Vec]) -> None:
+    """Append to out, in lexicographic order, every completion v of prefix in
+    the box with q(v) = square_value; c = q(prefix) - square_value and lin[k]
+    is (prefix, e_(i+k)) for the free coordinates i = len(prefix), i+1, ..."""
+    i = len(prefix)
+    if i == len(gram) - 1:
+        out.extend(prefix + (x,) for x in _last_coordinate(gram[i][i], lin[0], c, box[-1]))
+        return
+    row, g, b = gram[i][i + 1:], gram[i][i], lin[0]
+    for x in box:
+        rest = [l + x * r for l, r in zip(lin[1:], row)]
+        _extend(gram, box, prefix + (x,), c + x * (2 * b + g * x), rest, out)
+
+
+def _last_coordinate(g: int, b: int, c: int, bound: int) -> list[int] | range:
+    """The integers x with |x| <= bound and g*x^2 + 2*b*x + c = 0, ascending."""
+    if g == 0:
+        if b == 0:
+            return range(-bound, bound + 1) if c == 0 else []
+        x, rem = divmod(-c, 2 * b)
+        return [x] if rem == 0 and -bound <= x <= bound else []
+    disc = b * b - g * c
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return []
+    xs = []
+    for num in sorted({-b - root, -b + root}, reverse=g < 0):
+        x, rem = divmod(num, g)
+        if rem == 0 and -bound <= x <= bound:
+            xs.append(x)
+    return xs

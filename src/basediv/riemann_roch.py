@@ -8,9 +8,9 @@ a degree-n polynomial in q(L) with closed forms
 
 where C( , n) is the generalized binomial, i.e. the degree-n polynomial
 x(x-1)...(x-n+1)/n! (valid for small and negative tops).  The polynomials
-are expanded once into exact Fraction coefficients b_0..b_n; evaluation,
-monotonicity certification and binomial inversion all stay in exact
-arithmetic.
+are expanded once into integer numerators over one common denominator;
+evaluation is Horner's rule in integers followed by one exact division, and
+monotonicity certification and binomial inversion stay in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ConsistencyError, DomainError, StructuralError
+from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError
 
 K3N = "K3n"
 KUMN = "Kumn"
@@ -27,11 +27,23 @@ GENERIC = "Generic"
 
 _KINDS = (K3N, KUMN, GENERIC)
 
+# The monotonicity walk refuses to visit more even grid points than this.
+# Only a Generic polynomial with a huge root bound and a huge q(H) gets near.
+MONO_WALK_LIMIT = 10**6
+
+_UNSET = object()
+
 
 class RRPolynomial:
-    """Polynomial sum b_i x^i with exact rational coefficients, b_n > 0."""
+    """Polynomial sum b_i x^i with exact rational coefficients, b_n > 0.
 
-    __slots__ = ("coeffs",)
+    ``coeffs`` holds the b_i as Fractions.  ``nums`` and ``den`` hold the same
+    polynomial as integer numerators over their least common denominator,
+    which is what evaluation uses.  ``root_bound`` is an integer B >= 0 such
+    that the step p(q + 2) - p(q) is positive for every real q > B.
+    """
+
+    __slots__ = ("coeffs", "nums", "den", "root_bound")
 
     def __init__(self, coeffs: Iterable):
         cs = tuple(Fraction(c) for c in coeffs)
@@ -40,16 +52,23 @@ class RRPolynomial:
         if cs[-1] <= 0:
             raise DomainError(f"leading coefficient must be positive, got {cs[-1]}")
         self.coeffs = cs
+        self.den = math.lcm(*(c.denominator for c in cs))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in cs)
+        self.root_bound = _step_root_bound(self.nums)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: int) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
+    def numerator(self, x: int) -> int:
+        """den * p(x), by Horner's rule on the integer numerators."""
+        acc = 0
+        for c in reversed(self.nums):
             acc = acc * x + c
         return acc
+
+    def __call__(self, x: int) -> Fraction:
+        return Fraction(self.numerator(x), self.den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RRPolynomial) and self.coeffs == other.coeffs
@@ -61,14 +80,46 @@ class RRPolynomial:
         return f"RRPolynomial({[str(c) for c in self.coeffs]})"
 
 
+def _step_root_bound(nums: Sequence[int]) -> int:
+    """An integer B >= 0 with p(q + 2) - p(q) > 0 for every real q > B.
+
+    The step polynomial a_d x^d + ... + a_0 (d = n - 1, a_d = 2n * den * b_n
+    > 0) is found by a Taylor shift of the numerators.  With no negative
+    coefficient it is positive for q > 0, so B = 0.  Otherwise B is
+    Fujiwara's bound 2 * max(|a_(d-j)/a_d|^(1/j), |a_0/(2 a_d)|^(1/d)) on the
+    moduli of all its roots, rounded up to a power of two so that it is
+    found in integers.
+    """
+    shifted = list(nums)
+    n = len(nums) - 1
+    for i in range(n):  # shifted becomes the numerators of p(x + 2)
+        for j in range(n - 1, i - 1, -1):
+            shifted[j] += 2 * shifted[j + 1]
+    step = [a - b for a, b in zip(shifted[:-1], nums)]
+    if all(a >= 0 for a in step):
+        return 0
+    d = len(step) - 1
+    lead = step[-1]
+    k = 0  # least k with 2^(k*j) >= each ratio
+    for j in range(1, d + 1):
+        need = abs(step[d - j])
+        scale = 2 * lead if j == d else lead
+        while scale << (k * j) < need:
+            k += 1
+    return 2 << k
+
+
 class DeformationType:
     """Registry entry: a kind tag, the half-dimension n, and the RR polynomial.
 
     The Fujiki constant is informational; when not supplied it is derived
-    from the leading coefficient via C_X = (2n)! * b_n.
+    from the leading coefficient via C_X = (2n)! * b_n.  The only other
+    state is the monotonicity verdict for the whole even grid, a pure
+    function of the polynomial that ``check_strict_monotonic`` writes once,
+    the first time it is asked about a q_max at or beyond the horizon.
     """
 
-    __slots__ = ("kind", "n", "rr", "fujiki", "_mono_upto", "_mono_last", "_mono_fail")
+    __slots__ = ("kind", "n", "rr", "fujiki", "_verdict")
 
     def __init__(self, kind: str, n: int, rr: RRPolynomial, fujiki=None):
         if kind not in _KINDS:
@@ -87,10 +138,7 @@ class DeformationType:
         self.n = n
         self.rr = rr
         self.fujiki = fujiki
-        # monotonicity certification cache: verified-up-to, last value, first failure
-        self._mono_upto: int | None = None
-        self._mono_last: int = 0
-        self._mono_fail: int | None = None
+        self._verdict = _UNSET
 
     def __repr__(self) -> str:
         return f"DeformationType({self.kind}, n={self.n})"
@@ -103,19 +151,13 @@ class DeformationType:
         }
 
 
-def _half_q_binomial(shift: int, n: int) -> list[Fraction]:
-    """Coefficients in q of C(q/2 + shift, n) = prod_{j<n} (q/2 + shift - j) / n!."""
-    poly = [Fraction(1)]
-    half = Fraction(1, 2)
+def _half_q_binomial(shift: int, n: int) -> list[int]:
+    """Coefficients in q of 2^n n! * C(q/2 + shift, n) = prod_{j<n} (q + 2(shift - j))."""
+    poly = [1]
     for j in range(n):
-        const = Fraction(shift - j)
-        nxt = [Fraction(0)] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i] += c * const
-            nxt[i + 1] += c * half
-        poly = nxt
-    nfact = math.factorial(n)
-    return [c / nfact for c in poly]
+        const = 2 * (shift - j)
+        poly = [const * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 _registry: dict[tuple[str, int], DeformationType] = {}
@@ -142,13 +184,15 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) ->
     if kind == K3N:
         if n < 1:
             raise DomainError("K3n requires n >= 1")
-        rr = RRPolynomial(_half_q_binomial(n + 1, n))
+        shift, factor = n + 1, 1
     elif kind == KUMN:
         if n < 2:
             raise DomainError("Kumn requires n >= 2 (Kum^1 is not a registered type)")
-        rr = RRPolynomial([(n + 1) * c for c in _half_q_binomial(n, n)])
+        shift, factor = n, n + 1
     else:
         raise DomainError(f"unknown deformation kind {kind!r}")
+    den = 2**n * math.factorial(n)
+    rr = RRPolynomial(Fraction(factor * c, den) for c in _half_q_binomial(shift, n))
     t = DeformationType(kind, n, rr, fujiki)
     if fujiki is None:
         _registry[key] = t
@@ -165,34 +209,69 @@ def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
         raise DomainError(f"q must be an integer, got {q!r}")
     if q % 2 != 0 and not (allow_odd and t.kind == GENERIC):
         raise DomainError(f"q must be even (even-lattice convention), got {q}")
-    val = t.rr(q)
-    if val.denominator != 1:
+    return _value(t.rr, q)
+
+
+def _value(rr: RRPolynomial, q: int) -> int:
+    num = rr.numerator(q)
+    val, rem = divmod(num, rr.den)
+    if rem:
         raise ConsistencyError(
-            f"RR value at q={q} is {val}, not an integer; the coefficient vector is malformed"
+            f"RR value at q={q} is {Fraction(num, rr.den)}, not an integer;"
+            " the coefficient vector is malformed"
         )
-    return int(val)
+    return val
+
+
+def _first_event(rr: RRPolynomial, upto: int) -> tuple[int, str | None] | None:
+    """The first even q in [0, upto] where rr is not an integer, as
+    (q, message), or is not above its value at q - 2, as (q, None)."""
+    prev = None
+    for q in range(0, upto + 1, 2):
+        try:
+            val = _value(rr, q)
+        except ConsistencyError as exc:
+            return q, str(exc)
+        if prev is not None and val <= prev:
+            return q, None
+        prev = val
+    return None
 
 
 def check_strict_monotonic(t: DeformationType, q_max: int) -> bool:
     """True iff rr_eval is strictly increasing on the even grid {0, 2, ..., q_max}.
 
-    Verified values are cached on the type, so repeated certification against
-    growing bounds costs only the new grid points.
+    Walks the grid in order, so the first event wins: a value not above its
+    predecessor returns False, a non-integral value raises ConsistencyError.
+    No event lies beyond the horizon max(2n, B + 2), with B the root bound of
+    the step p(q + 2) - p(q): p takes integer values on every even q >= 0 once
+    it does at 0, 2, ..., 2n, and the step is positive above B.  Once q_max
+    reaches the horizon the verdict for the whole grid is computed and kept
+    on the type, so the cost does not grow with q_max and repeat calls are
+    O(1); below the horizon only the grid up to q_max is walked.
     """
     if q_max < 0:
         raise DomainError("q_max must be nonnegative")
     q_max -= q_max % 2
-    if t._mono_upto is None:
-        t._mono_last = rr_eval(t, 0)
-        t._mono_upto = 0
-    while t._mono_fail is None and t._mono_upto < q_max:
-        q = t._mono_upto + 2
-        v = rr_eval(t, q)
-        if v <= t._mono_last:
-            t._mono_fail = q
-        t._mono_last = v
-        t._mono_upto = q
-    return t._mono_fail is None or t._mono_fail > q_max
+    if t._verdict is _UNSET:
+        horizon = max(2 * t.n, t.rr.root_bound + 2)
+        upto = min(q_max, horizon)
+        if upto // 2 + 1 > MONO_WALK_LIMIT:
+            raise CapabilityError(
+                f"certifying RR monotonicity up to q = {upto} walks {upto // 2 + 1} grid points;"
+                f" the limit is {MONO_WALK_LIMIT}"
+            )
+        if upto < horizon:
+            event = _first_event(t.rr, upto)
+        else:
+            event = t._verdict = _first_event(t.rr, horizon)
+    else:
+        event = t._verdict
+    if event is None or event[0] > q_max:
+        return True
+    if event[1] is not None:
+        raise ConsistencyError(event[1])
+    return False
 
 
 def invert_binomial(value: int, n: int) -> int | None:
@@ -223,6 +302,8 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
         raise StructuralError('deformation JSON must be an object with "kind" and "n"')
     kind = data["kind"]
     n = data["n"]
+    if not isinstance(kind, str):
+        raise StructuralError(f'deformation "kind" must be a string, got {kind!r}')
     if isinstance(n, bool) or not isinstance(n, int):
         raise StructuralError('deformation "n" must be an integer')
     if kind == GENERIC:

@@ -55,6 +55,46 @@ def test_classify_hypothesis_error_exit_code(capsys, tmp_path):
     assert "strong_rlf" in err
 
 
+def test_classify_huge_class_is_exact(capsys):
+    code, out, _ = run(capsys, "classify", "--input", PENCIL, "--class", "1000000000000,1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["decomposition"]["m"] == 10**12
+    assert payload["certificates"]["monotonic"] is True
+
+
+def _with(tmp_path, edit):
+    data = json.loads(open(PENCIL).read())
+    edit(data)
+    path = tmp_path / "ctx.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_strong_rlf_string_is_refused(capsys, tmp_path):
+    path = _with(tmp_path, lambda d: d.update(strong_rlf="false"))
+    code, _, err = run(capsys, "classify", "--input", path, "--class", "3,1")
+    assert code == 2
+    assert err.startswith("error:") and "strong_rlf" in err and "malformed input" not in err
+    code, out, _ = run(capsys, "validate-context", "--input", path)
+    assert code == 2
+    assert "FAIL  strong_rlf" in out
+
+
+def test_even_flag_string_is_refused(capsys, tmp_path):
+    path = _with(tmp_path, lambda d: d["lattice"].update(even="no"))
+    code, _, err = run(capsys, "classify", "--input", path, "--class", "3,1")
+    assert code == 2
+    assert err.startswith("error:") and '"even"' in err and "malformed input" not in err
+
+
+def test_deformation_kind_list_is_refused(capsys, tmp_path):
+    path = _with(tmp_path, lambda d: d["deformation"].update(kind=["K3n"]))
+    code, _, err = run(capsys, "classify", "--input", path, "--class", "3,1")
+    assert code == 2
+    assert err.startswith("error:") and '"kind"' in err and "malformed input" not in err
+
+
 def test_class_vector_length_mismatch_is_malformed_input(capsys):
     code, _, err = run(capsys, "classify", "--input", PENCIL, "--class", "3,1,1")
     assert code == 2
@@ -124,6 +164,15 @@ def test_rank2_scan(capsys):
     code, out, _ = run(capsys, "rank2-scan", "--bound", "50", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"bound": 50, "classes": [[-1, 1], [1, -1]]}
+
+
+def test_unbounded_scans_are_refused(capsys):
+    code, _, err = run(capsys, "rank2-scan", "--bound", "100000000")
+    assert code == 1
+    assert "limit" in err
+    code, _, err = run(capsys, "scan-kumn", "--n-max", "1000", "--m-max", "1000")
+    assert code == 1
+    assert "limit" in err
 
 
 def test_validate_context_ok(capsys):

@@ -1,5 +1,7 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basediv import (
     CapabilityError,
@@ -95,6 +97,35 @@ def test_enumerate_vectors_guards():
         enumerate_vectors(big, 0, 1)
     with pytest.raises(DomainError):
         enumerate_vectors(U, 0, 0)
+    # (2B+1)^(r-1) prefixes: 17^5 at rank 6, bound 8; one row of 2B+1 at rank 1
+    rank6 = direct_sum(U, U, U)
+    assert len(enumerate_vectors(rank6, 0, 1)) > 0
+    with pytest.raises(CapabilityError, match="prefixes"):
+        enumerate_vectors(rank6, 0, 8)
+    with pytest.raises(CapabilityError, match="prefixes"):
+        enumerate_vectors(rank_one(0), 0, 10**9)
+
+
+@st.composite
+def gram_matrices(draw):
+    r = draw(st.integers(1, 5))
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 3))
+    return Lattice(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gram_matrices(), st.integers(1, 3), st.integers(-8, 8))
+@example(Lattice([[0, 0], [0, 0]]), 2, 0)
+@example(Lattice([[2, 0], [0, 0]]), 2, 2)
+@example(Lattice([[0, 1], [1, 0]]), 3, 0)
+@example(Lattice([[-1]]), 3, -4)
+def test_enumerate_vectors_matches_naive_sweep(lat, bound, target):
+    box = range(-bound, bound + 1)
+    naive = [v for v in product(box, repeat=lat.rank) if pairing(lat, v, v) == target]
+    assert enumerate_vectors(lat, target, bound) == naive
 
 
 def test_direct_sum_block_structure():

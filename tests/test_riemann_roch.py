@@ -2,13 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basediv import (
+    CapabilityError,
     ConsistencyError,
     DomainError,
     GENERIC,
     K3N,
     KUMN,
+    RRPolynomial,
+    StructuralError,
     check_strict_monotonic,
     deformation_from_json_dict,
     invert_binomial,
@@ -100,6 +104,93 @@ def test_monotonicity():
     assert not check_strict_monotonic(g2, 40)
 
 
+def brute_force_walk(coeffs, q_top):
+    """Verdict of a direct walk over {0, 2, ..., q_max} for every even q_max <= q_top."""
+    verdicts, prev, event = {}, None, None
+    for q in range(0, q_top + 1, 2):
+        if event is None:
+            v = sum(c * q**i for i, c in enumerate(coeffs))
+            if v.denominator != 1:
+                event = ("raise", f"RR value at q={q} is {v}, not an integer; the coefficient vector is malformed")
+            elif prev is not None and v <= prev:
+                event = ("return", False)
+            prev = v
+        verdicts[q] = event or ("return", True)
+    return verdicts
+
+
+def certificate(t, q_max):
+    try:
+        return "return", check_strict_monotonic(t, q_max)
+    except ConsistencyError as exc:
+        return "raise", str(exc)
+
+
+@st.composite
+def random_polynomials(draw):
+    """b_i = a_i / 2^i is integral on the even grid; a factor 1/3 sometimes breaks that."""
+    n = draw(st.integers(1, 4))
+    nums = draw(st.lists(st.integers(-300, 300), min_size=n, max_size=n)) + [draw(st.integers(1, 6))]
+    return [Fraction(a, 2**i * draw(st.sampled_from([1, 1, 1, 1, 1, 3]))) for i, a in enumerate(nums)]
+
+
+@st.composite
+def dipping_cubics(draw):
+    """x^3 - 3a x^2 + (3a^2 - e) x + b in x = q/2: the steps turn negative near
+    x = a once e is large enough, so the first failure can lie far out."""
+    a, e, b = draw(st.integers(0, 600)), draw(st.integers(-5, 60)), draw(st.integers(-5, 5))
+    third = draw(st.sampled_from([0, 0, 0, Fraction(1, 3)]))
+    return [Fraction(b), Fraction(3 * a * a - e, 2) + third, Fraction(-3 * a, 4), Fraction(1, 8)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_polynomials(), dipping_cubics()), st.randoms(use_true_random=False))
+def test_certificate_matches_brute_force_walk(coeffs, rnd):
+    n = len(coeffs) - 1
+    expected = brute_force_walk(coeffs, 1000)
+    ascending = make_type(GENERIC, n, coeffs=coeffs)
+    for q_max in range(0, 1001, 2):
+        assert certificate(ascending, q_max) == expected[q_max], q_max
+    shuffled = make_type(GENERIC, n, coeffs=coeffs)
+    order = list(range(0, 1001, 2))
+    rnd.shuffle(order)
+    for q_max in order[:50]:
+        assert certificate(shuffled, q_max) == expected[q_max], q_max
+        assert certificate(shuffled, q_max + 1) == expected[q_max], q_max
+
+
+def test_step_root_bound_is_fujiwaras():
+    # the registered families have no negative step coefficient, so B = 0
+    assert make_type(K3N, 5).rr.root_bound == 0
+    # step q - 100: Fujiwara's bound is exactly 100, rounded up to 128
+    assert RRPolynomial([0, Fraction(-101, 2), Fraction(1, 4)]).root_bound == 128
+    # step q^2 - 10q + 1: Fujiwara's bound is 2 * max(10, 1/sqrt(2)) = 20, rounded up to 32
+    assert RRPolynomial([0, Fraction(35, 6), -3, Fraction(1, 6)]).root_bound == 32
+
+
+def test_first_non_integral_value_at_q_equal_to_2n():
+    # K3^[3] plus q(q-2)(q-4)/144, which is 0 at q = 0, 2, 4 and 1/3 at q = 6
+    g = make_type(GENERIC, 3, coeffs=[4, Fraction(20, 9), Fraction(1, 3), Fraction(1, 36)])
+    assert check_strict_monotonic(g, 4)
+    with pytest.raises(ConsistencyError, match="q=6"):
+        check_strict_monotonic(g, 10**6)
+
+
+def test_monotonicity_walk_guard():
+    # a root bound near 1e20 keeps the verdict out of reach of a full walk
+    g = make_type(GENERIC, 2, coeffs=[0, -(10**20), 1])
+    assert not check_strict_monotonic(g, 40)  # only the asked grid is walked
+    with pytest.raises(CapabilityError):
+        check_strict_monotonic(g, 10**15)
+
+
+def test_large_n_types_certify_with_exact_values():
+    t = make_type(K3N, 400)
+    assert check_strict_monotonic(t, 800)
+    assert check_strict_monotonic(t, 10**12)
+    assert rr_eval(t, 800) == binom_product(400 + 400 + 1, 400)
+
+
 def test_invert_binomial():
     assert invert_binomial(6, 2) == 2
     assert invert_binomial(7, 2) is None
@@ -164,3 +255,5 @@ def test_json_round_trip():
     assert rr_eval(g, 2) == 3
     with pytest.raises(Exception):
         deformation_from_json_dict({"kind": "K3n"})
+    with pytest.raises(StructuralError, match='"kind"'):
+        deformation_from_json_dict({"kind": ["K3n"], "n": 1})
