@@ -21,9 +21,12 @@ Context files are JSON objects:
 rr-eval and nl-types also accept a bare deformation object
 ({"kind": ..., "n": ..., ...}) as --input.
 
-Exit codes: 0 success, 1 domain/hypothesis/consistency violations (with a
-diagnostic naming the violated condition), 2 malformed input.  JSON output
-is deterministic: identical inputs produce byte-identical reports.
+Exit codes: 0 success, 1 domain/hypothesis/consistency/capability violations
+(with a diagnostic naming the violated condition, e.g. kind "OG6"), 2 malformed
+input, e.g. a string where an array belongs (the message names its path, such
+as peds[1]).  Every command, validate-context included, reads a context through
+cones.validate_context_payload and exits by the class of the library's error.
+JSON output is deterministic: identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -57,12 +60,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, over-long integers, deep nesting
         raise StructuralError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _load_context(path: str) -> GeometricContext:
-    return GeometricContext.from_json_dict(_load_json(path))
 
 
 def _load_deformation(path: str):
@@ -81,7 +80,7 @@ def _print_json(payload) -> None:
 # subcommand handlers
 
 def _cmd_classify(args) -> int:
-    ctx = _load_context(args.input)
+    ctx = GeometricContext.from_json_dict(_load_json(args.input))
     report = classification_report(ctx, _parse_class(args.class_vec))
     if args.format == "json":
         _print_json(report)
@@ -101,7 +100,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_reflect_bk(args) -> int:
-    ctx = _load_context(args.input)
+    ctx = GeometricContext.from_json_dict(_load_json(args.input))
     alpha = ctx.lat.vector(_parse_class(args.class_vec))
     trace = reflect_into_bk(ctx, alpha)
     if args.format == "json":
@@ -251,9 +250,6 @@ def main(argv=None) -> int:
     except BasedivError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed input ({exc})", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

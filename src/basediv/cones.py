@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError
+from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError
 from .lattice import (
     Lattice,
     Vec,
+    as_array,
     divisibility,
     enumerate_vectors,
-    hyperbolic_plane,
     pairing,
     square,
     vec_is_zero,
@@ -50,12 +50,34 @@ RANK2_SCAN_BOUND_LIMIT = 500
 
 @dataclass(frozen=True)
 class ContextCheck:
-    """One validated context invariant: name, outcome, human-readable detail."""
+    """One validated context invariant: name, outcome, human-readable detail,
+    and the error raised when a field failed to parse (structural: exit 2)."""
 
     name: str
     passed: bool
     detail: str
-    structural: bool = False
+    error: BasedivError | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def structural(self) -> bool:
+        return isinstance(self.error, StructuralError)
+
+
+def _attempt(checks: list[ContextCheck], name: str, parse):
+    """parse(), or None after appending the failed check its error makes."""
+    try:
+        return parse()
+    except BasedivError as exc:
+        checks.append(ContextCheck(name, False, str(exc), exc))
+        return None
+
+
+def _raise_first(checks: list[ContextCheck]) -> None:
+    """Raise the error of the first failed structural check, else of the first failed check."""
+    failed = [c for c in checks if not c.passed]
+    if failed:
+        first = next((c for c in failed if c.structural), failed[0])
+        raise first.error or DomainError(f"invalid context ({first.name}): {first.detail}")
 
 
 def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextCheck]:
@@ -104,12 +126,12 @@ def run_context_checks(
     peds: Sequence[Sequence[int]] = (),
     walls: Sequence[Sequence[int]] = (),
 ) -> list[ContextCheck]:
-    """Run every declared-data invariant, collecting per-item pass/fail."""
+    """Run every declared-data invariant, collecting per-item pass/fail;
+    a malformed ample class ends the report."""
     checks: list[ContextCheck] = []
-    try:
-        h = lat.vector(ample)
-    except StructuralError as exc:
-        return [ContextCheck("ample-shape", False, str(exc), structural=True)]
+    h = _attempt(checks, "ample-shape", lambda: lat.vector(as_array(ample, "ample")))
+    if h is None:
+        return checks
     qh = square(lat, h)
     checks.append(
         ContextCheck(
@@ -118,27 +140,13 @@ def run_context_checks(
             f"q(ample) = {qh}" + ("" if qh > 0 else " but the ample class must have q > 0"),
         )
     )
-    for i, raw in enumerate(peds):
-        label = f"ped[{i}]"
-        try:
-            d = lat.vector(raw)
-        except StructuralError as exc:
-            checks.append(ContextCheck(f"{label}-shape", False, str(exc), structural=True))
-            continue
-        checks.extend(_check_ped(lat, h, d, label))
-    for i, raw in enumerate(walls):
-        try:
-            lat.vector(raw)
-        except StructuralError as exc:
-            checks.append(ContextCheck(f"wall[{i}]-shape", False, str(exc), structural=True))
+    for i, raw in enumerate(_attempt(checks, "peds", lambda: as_array(peds, "peds")) or ()):
+        d = _attempt(checks, f"ped[{i}]-shape", lambda: lat.vector(as_array(raw, f"peds[{i}]")))
+        if d is not None:
+            checks.extend(_check_ped(lat, h, d, f"ped[{i}]"))
+    for i, raw in enumerate(_attempt(checks, "walls", lambda: as_array(walls, "walls")) or ()):
+        _attempt(checks, f"wall[{i}]-shape", lambda: lat.vector(as_array(raw, f"walls[{i}]")))
     return checks
-
-
-def _json_strong_rlf(data: dict) -> bool:
-    flag = data.get("strong_rlf", False)
-    if not isinstance(flag, bool):
-        raise StructuralError(f'context "strong_rlf" must be a JSON boolean, got {flag!r}')
-    return flag
 
 
 class GeometricContext:
@@ -165,17 +173,18 @@ class GeometricContext:
         strong_rlf: bool = False,
         note: str | None = None,
     ):
+        _raise_first(run_context_checks(lat, ample, peds, walls))
+        self._fill(lat, ample, peds, walls, dtype, strong_rlf, note)
+
+    def _fill(self, lat, ample, peds, walls, dtype, strong_rlf, note) -> None:
+        """Store data that run_context_checks has passed."""
         self.lat = lat
-        self.ample = lat.vector(ample)
-        self.peds = tuple(lat.vector(p) for p in peds)
-        self.walls = tuple(lat.vector(w) for w in walls)
+        self.ample = tuple(ample)
+        self.peds = tuple(map(tuple, peds))
+        self.walls = tuple(map(tuple, walls))
         self.dtype = dtype
         self.strong_rlf = bool(strong_rlf)
         self.note = note
-        failed = [c for c in run_context_checks(lat, self.ample, self.peds, self.walls) if not c.passed]
-        if failed:
-            first = failed[0]
-            raise DomainError(f"invalid context ({first.name}): {first.detail}")
 
     def to_json_dict(self) -> dict:
         data = {
@@ -193,24 +202,10 @@ class GeometricContext:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GeometricContext":
-        if not isinstance(data, dict):
-            raise StructuralError("context JSON must be an object")
-        missing = [k for k in ("lattice", "ample") if k not in data]
-        if missing:
-            raise StructuralError(f"context JSON is missing required keys: {missing}")
-        lat = Lattice.from_json_dict(data["lattice"])
-        dtype = None
-        if "deformation" in data:
-            dtype = deformation_from_json_dict(data["deformation"])
-        return cls(
-            lat,
-            data["ample"],
-            data.get("peds", ()),
-            data.get("walls", ()),
-            dtype=dtype,
-            strong_rlf=_json_strong_rlf(data),
-            note=data.get("note"),
-        )
+        """The context validate_context_payload builds, or its first structural error, else its first error."""
+        ctx, checks = validate_context_payload(data)
+        _raise_first(checks)
+        return ctx
 
     def __repr__(self) -> str:
         return (
@@ -220,50 +215,45 @@ class GeometricContext:
 
 
 def validate_context_payload(data) -> tuple[GeometricContext | None, list[ContextCheck]]:
-    """Check a raw context payload item by item (for the CLI validator).
+    """Check a raw context payload item by item; the one reader of context JSON.
 
-    Returns the constructed context when everything passes, else None
-    together with the full check report.
+    Returns the context built from the checked values when everything
+    passes, else None, together with the full check report.  A malformed
+    field fails a structural check whose message names its path.
     """
     checks: list[ContextCheck] = []
     if not isinstance(data, dict):
-        return None, [ContextCheck("schema", False, "context JSON must be an object", structural=True)]
+        error = StructuralError("context JSON must be an object")
+        return None, [ContextCheck("schema", False, str(error), error)]
     missing = [k for k in ("lattice", "ample") if k not in data]
     if missing:
-        return None, [
-            ContextCheck("schema", False, f"missing required keys: {missing}", structural=True)
-        ]
-    try:
-        lat = Lattice.from_json_dict(data["lattice"])
-    except StructuralError as exc:
-        return None, [ContextCheck("lattice", False, str(exc), structural=True)]
+        error = StructuralError(f"context JSON is missing required keys: {missing}")
+        return None, [ContextCheck("schema", False, f"missing required keys: {missing}", error)]
+    lat = _attempt(checks, "lattice", lambda: Lattice.from_json_dict(data["lattice"]))
+    if lat is None:
+        return None, checks
     checks.append(ContextCheck("lattice", True, f"rank {lat.rank}, even={lat.even}"))
     dtype = None
     if "deformation" in data:
-        try:
-            dtype = deformation_from_json_dict(data["deformation"])
+        dtype = _attempt(checks, "deformation", lambda: deformation_from_json_dict(data["deformation"]))
+        if dtype is not None:
             checks.append(ContextCheck("deformation", True, repr(dtype)))
-        except (StructuralError, DomainError, ValueError) as exc:
-            checks.append(ContextCheck("deformation", False, str(exc), structural=True))
     else:
         checks.append(ContextCheck("deformation", True, "absent (classification unavailable)"))
-    try:
-        strong_rlf = _json_strong_rlf(data)
-    except StructuralError as exc:
-        checks.append(ContextCheck("strong_rlf", False, str(exc), structural=True))
-    checks.extend(run_context_checks(lat, data["ample"], data.get("peds", ()), data.get("walls", ())))
-    if all(c.passed for c in checks):
-        ctx = GeometricContext(
-            lat,
-            data["ample"],
-            data.get("peds", ()),
-            data.get("walls", ()),
-            dtype=dtype,
-            strong_rlf=strong_rlf,
-            note=data.get("note"),
-        )
-        return ctx, checks
-    return None, checks
+    strong_rlf, note = data.get("strong_rlf", False), data.get("note")
+    if not isinstance(strong_rlf, bool):
+        error = StructuralError(f'context "strong_rlf" must be a JSON boolean, got {strong_rlf!r}')
+        checks.append(ContextCheck("strong_rlf", False, str(error), error))
+    ample, peds, walls = data["ample"], data.get("peds", ()), data.get("walls", ())
+    checks.extend(run_context_checks(lat, ample, peds, walls))
+    if "note" in data and not isinstance(note, str):
+        error = StructuralError(f"note must be a string, got {note!r}")
+        checks.append(ContextCheck("note", False, str(error), error))
+    if not all(c.passed for c in checks):
+        return None, checks
+    ctx = GeometricContext.__new__(GeometricContext)
+    ctx._fill(lat, ample, peds, walls, dtype, strong_rlf, note)
+    return ctx, checks
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +424,11 @@ def rank2_exceptional_scan(bound: int) -> list[Vec]:
         raise DomainError("bound must be >= 1")
     if bound > RANK2_SCAN_BOUND_LIMIT:
         raise CapabilityError(f"rank-2 scan bound {bound} exceeds the limit {RANK2_SCAN_BOUND_LIMIT}")
-    u = hyperbolic_plane()
     out = []
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
-            v = (a, b)
-            if square(u, v) >= 0:
-                continue
-            if abs(a * b) <= math.gcd(a, b):
-                out.append(v)
+            if a * b < 0 and -a * b <= math.gcd(a, b):  # q(a, b) = 2ab on U
+                out.append((a, b))
     return out
 
 

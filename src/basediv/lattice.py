@@ -27,6 +27,13 @@ def _as_int(x) -> int:
     return x
 
 
+def as_array(value, path: str):
+    """value, if it is a JSON array (or a tuple); else a StructuralError naming its path."""
+    if not isinstance(value, (list, tuple)):
+        raise StructuralError(f"{path} must be an array, got {value!r}")
+    return value
+
+
 class Lattice:
     """Integral lattice presented by a symmetric Gram matrix.
 
@@ -78,7 +85,8 @@ class Lattice:
         even = data.get("even")
         if even is not None and not isinstance(even, bool):
             raise StructuralError(f'lattice "even" must be a JSON boolean or null, got {even!r}')
-        return cls(data["gram"], even)
+        gram = as_array(data["gram"], "lattice.gram")
+        return cls([as_array(row, f"lattice.gram[{i}]") for i, row in enumerate(gram)], even)
 
     def __eq__(self, other) -> bool:
         return (

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError
+from .lattice import as_array
 
 K3N = "K3n"
 KUMN = "Kumn"
@@ -30,6 +31,10 @@ _KINDS = (K3N, KUMN, GENERIC)
 # The monotonicity walk refuses to visit more even grid points than this.
 # Only a Generic polynomial with a huge root bound and a huge q(H) gets near.
 MONO_WALK_LIMIT = 10**6
+
+# make_type refuses degrees above this: expanding and certifying the polynomial
+# costs about n^3 digit operations (0.25 s at n = 500, 1.5 s at n = 1000).
+HALF_DIM_LIMIT = 500
 
 _UNSET = object()
 
@@ -169,8 +174,12 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) ->
     K3n requires n >= 1 and Kumn requires n >= 2; Kum^1 is rejected because
     the closed form at n=1 disagrees with the K3 surface polynomial, so a
     2-dimensional "Kum" type would silently produce wrong chi values.
-    Generic takes explicit coefficients b_0..b_n with b_n > 0.
+    Generic takes explicit coefficients b_0..b_n with b_n > 0.  Degrees above
+    HALF_DIM_LIMIT raise CapabilityError before anything is expanded.
     """
+    degree = max(n, len(coeffs or ()) - 1)
+    if degree > HALF_DIM_LIMIT:
+        raise CapabilityError(f"RR polynomial of degree {degree} exceeds the half-dimension limit {HALF_DIM_LIMIT}")
     if kind == GENERIC:
         if coeffs is None:
             raise DomainError("Generic deformation type needs explicit RR coefficients")
@@ -310,5 +319,13 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
         coeffs = data.get("coeffs")
         if coeffs is None:
             raise StructuralError('Generic deformation JSON needs a "coeffs" array')
-        return make_type(GENERIC, n, coeffs=[Fraction(str(c)) for c in coeffs])
+        coeffs = as_array(coeffs, "deformation.coeffs")
+        return make_type(GENERIC, n, coeffs=[_fraction(c, f"deformation.coeffs[{i}]") for i, c in enumerate(coeffs)])
     return make_type(kind, n)
+
+
+def _fraction(c, path: str) -> Fraction:
+    try:
+        return Fraction(str(c))
+    except (ValueError, ZeroDivisionError):
+        raise StructuralError(f"{path} must be a rational number, got {c!r}") from None
