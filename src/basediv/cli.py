@@ -25,7 +25,9 @@ Exit codes: 0 success, 1 domain/hypothesis/consistency/capability violations
 (with a diagnostic naming the violated condition, e.g. kind "OG6"), 2 malformed
 input, e.g. a string where an array belongs (the message names its path, such
 as peds[1]).  Every command, validate-context included, reads a context through
-cones.validate_context_payload and exits by the class of the library's error.
+cones.validate_context_payload and exits by the class of the library's error,
+a structural one first.  A result or diagnostic holding an integer longer than
+Python prints (4300 digits by default) exits 1.
 JSON output is deterministic: identical inputs produce byte-identical reports.
 """
 
@@ -249,6 +251,11 @@ def main(argv=None) -> int:
         return 2
     except BasedivError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # Python's digit limit, met printing a result or a diagnostic
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: cannot print an integer of more than {sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 1
 
 

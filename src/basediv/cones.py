@@ -63,12 +63,16 @@ class ContextCheck:
         return isinstance(self.error, StructuralError)
 
 
+def _fail(checks: list[ContextCheck], name: str, error: BasedivError) -> None:
+    checks.append(ContextCheck(name, False, str(error), error))
+
+
 def _attempt(checks: list[ContextCheck], name: str, parse):
     """parse(), or None after appending the failed check its error makes."""
     try:
         return parse()
     except BasedivError as exc:
-        checks.append(ContextCheck(name, False, str(exc), exc))
+        _fail(checks, name, exc)
         return None
 
 
@@ -223,12 +227,12 @@ def validate_context_payload(data) -> tuple[GeometricContext | None, list[Contex
     """
     checks: list[ContextCheck] = []
     if not isinstance(data, dict):
-        error = StructuralError("context JSON must be an object")
-        return None, [ContextCheck("schema", False, str(error), error)]
+        _fail(checks, "schema", StructuralError("context JSON must be an object"))
+        return None, checks
     missing = [k for k in ("lattice", "ample") if k not in data]
     if missing:
-        error = StructuralError(f"context JSON is missing required keys: {missing}")
-        return None, [ContextCheck("schema", False, f"missing required keys: {missing}", error)]
+        _fail(checks, "schema", StructuralError(f"context JSON is missing required keys: {missing}"))
+        return None, checks
     lat = _attempt(checks, "lattice", lambda: Lattice.from_json_dict(data["lattice"]))
     if lat is None:
         return None, checks
@@ -243,12 +247,11 @@ def validate_context_payload(data) -> tuple[GeometricContext | None, list[Contex
     strong_rlf, note = data.get("strong_rlf", False), data.get("note")
     if not isinstance(strong_rlf, bool):
         error = StructuralError(f'context "strong_rlf" must be a JSON boolean, got {strong_rlf!r}')
-        checks.append(ContextCheck("strong_rlf", False, str(error), error))
+        _fail(checks, "strong_rlf", error)
     ample, peds, walls = data["ample"], data.get("peds", ()), data.get("walls", ())
     checks.extend(run_context_checks(lat, ample, peds, walls))
     if "note" in data and not isinstance(note, str):
-        error = StructuralError(f"note must be a string, got {note!r}")
-        checks.append(ContextCheck("note", False, str(error), error))
+        _fail(checks, "note", StructuralError(f"note must be a string, got {note!r}"))
     if not all(c.passed for c in checks):
         return None, checks
     ctx = GeometricContext.__new__(GeometricContext)

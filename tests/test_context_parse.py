@@ -43,6 +43,9 @@ def deformation(kind, n):
     return edited(lambda d: d.update(deformation={"kind": kind, "n": n}))
 
 
+# q(HUGE_AMPLE) = 2 * 10**4400 on the pencil lattice
+HUGE_AMPLE = [2 * 10**2200, 10**2200]
+
 # (id, file contents, exit code, text the diagnostic must contain, also run rr-eval)
 CASES = [
     ("peds-int", edited(lambda d: d.update(peds=5)), 2, "peds must be an array", False),
@@ -56,6 +59,9 @@ CASES = [
     ("coeffs-int", generic(7), 2, "deformation.coeffs must be an array", True),
     ("coeffs-word", generic(["x", "1"]), 2, "deformation.coeffs[0] must be a rational number", True),
     ("coeffs-zero-denominator", generic(["1/0", "1"]), 2, "deformation.coeffs[0] must be a rational number", True),
+    ("coeffs-5001-digits", generic(["1", "-1e5000"]), 1, "cannot print an integer of more than", True),
+    ("coeffs-exponent-8-digits", generic(["1", "1e99999999"]), 1, "deformation.coeffs[1] has a decimal exponent", True),
+    ("ample-square-4401-digits", edited(lambda d: d.update(ample=HUGE_AMPLE)), 1, "cannot print an integer of more than", False),
     ("kind-og6", deformation("OG6", 3), 1, "unknown deformation kind 'OG6'", False),
     ("kumn-1", deformation("Kumn", 1), 1, "Kumn requires n >= 2", False),
     ("k3n-0", deformation("K3n", 0), 1, "K3n requires n >= 1", False),
@@ -98,18 +104,26 @@ def test_half_dimension_guard_comes_before_expansion():
 # ---------------------------------------------------------------------------
 # JSON-shaped payloads around the pencil context
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.text(max_size=4)
-    | st.sampled_from(["K3n", "Kumn", "Generic", "OG6", "1/2"]),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=8,
-)
+def json_values(huge=False):
+    leaves = (
+        st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.text(max_size=4)
+        | st.sampled_from(["K3n", "Kumn", "Generic", "OG6", "1/2"])
+    )
+    if huge:  # integers whose squares Python will not print, and decimal exponents up to 10**8
+        leaves |= st.integers(10**2199, 10**2201) | st.from_regex(r"-?[1-9]e-?[0-9]{1,8}", fullmatch=True)
+    return st.recursive(
+        leaves,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
 # well-shaped vectors of the pencil lattice, which reach the invariant checks
 vectors = st.lists(st.integers(-3, 3), min_size=2, max_size=2)
 
 PATHS = [
     ("lattice",), ("lattice", "gram"), ("lattice", "gram", 0), ("lattice", "gram", 1, 1), ("lattice", "even"),
-    ("ample",), ("ample", 0), ("peds",), ("peds", 0), ("peds", 0, 1), ("walls",),
+    ("ample",), ("ample", 0), ("ample", 1), ("peds",), ("peds", 0), ("peds", 0, 1), ("walls",),
     ("deformation",), ("deformation", "kind"), ("deformation", "n"), ("deformation", "coeffs"),
     ("strong_rlf",), ("note",), ("extra",),
 ]
@@ -130,14 +144,15 @@ def _edit(data, path, value):
 
 
 @st.composite
-def payloads(draw):
+def payloads(draw, huge=False):
     """The pencil context with a few fields replaced or deleted, or any JSON value."""
+    values = json_values(huge)
     if draw(st.integers(0, 9)) == 0:
-        return draw(json_values)
+        return draw(values)
     data = copy.deepcopy(PENCIL)
     for path in draw(st.lists(st.sampled_from(PATHS), max_size=3)):
         try:
-            _edit(data, path, draw(st.just(_DELETE) | vectors | st.lists(vectors, max_size=2) | json_values))
+            _edit(data, path, draw(st.just(_DELETE) | vectors | st.lists(vectors, max_size=2) | values))
         except (KeyError, IndexError, TypeError):
             pass  # an earlier edit removed or replaced the parent
     return data
@@ -166,7 +181,9 @@ def fuzz_file(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=payloads())
+@given(data=payloads(huge=True))
+@example(data=dict(PENCIL, ample=HUGE_AMPLE))
+@example(data=dict(PENCIL, deformation={"kind": "Generic", "n": 1, "coeffs": ["1", "-1e5000"]}))
 def test_cli_never_raises(fuzz_file, data):
     fuzz_file.write_text(json.dumps(data))
     code, _, err = run(["classify", "--input", str(fuzz_file), "--class", "3,1"])
