@@ -22,11 +22,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cones import GeometricContext, in_bk_closure
+from .cones import GeometricContext, _in_closure, in_bk_closure
 from .errors import CapabilityError, ConsistencyError, DomainError, HypothesisError
 from .lattice import (
     Vec,
     divisibility,
+    dot,
+    gram_image,
     is_primitive,
     pairing,
     square,
@@ -45,6 +47,8 @@ from .riemann_roch import (
 # kumn_nonexistence_search refuses when its (n, m, d, q_F) case count times
 # the largest n (the cost of one binomial grows with n) exceeds this.
 KUMN_SEARCH_LIMIT = 10**8
+# nl_numerical_types refuses when its window holds more (m, d, q_F) types.
+NL_TYPES_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -77,16 +81,17 @@ class NumericalNLType:
 
 
 def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int]:
-    """Check q(H) > 0, (H, ample) > 0 and (H, D) >= 0 against declared data."""
-    lat = ctx.lat
-    q_h = square(lat, h_vec)
+    """Check q(H) > 0, (H, ample) > 0 and (H, D) >= 0 against declared data,
+    for a checked vector h_vec."""
+    g_h = gram_image(ctx.lat, h_vec)
+    q_h = dot(h_vec, g_h)
     if q_h <= 0:
         raise DomainError(f"H is not big: q(H) = {q_h} must be positive")
-    p_h = pairing(lat, h_vec, ctx.ample)
+    p_h = dot(g_h, ctx.ample)
     if p_h <= 0:
         raise DomainError(f"(H, ample) = {p_h} must be positive")
     for d in ctx.peds + ctx.walls:
-        p = pairing(lat, h_vec, d)
+        p = dot(g_h, d)
         if p < 0:
             raise DomainError(
                 f"H is not nef against the declared classes: (H, {list(d)}) = {p} < 0"
@@ -123,19 +128,19 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
     if m is None or m < 2:
         return None
     matches: list[Decomposition] = []
-    for f_vec in ctx.peds:
+    for f_vec, g_f in zip(ctx.peds, ctx.g_peds):
         diff = vec_sub(h_vec, f_vec)
         if vec_is_zero(diff) or any(c % m != 0 for c in diff):
             continue
         l_vec = tuple(c // m for c in diff)
-        if square(lat, l_vec) != 0:
+        if dot(l_vec, gram_image(lat, l_vec)) != 0:
             continue
-        if not is_primitive(lat, l_vec):
+        if math.gcd(*l_vec) != 1:
             continue
-        d = pairing(lat, l_vec, f_vec)
+        d = dot(l_vec, g_f)
         if d <= 0:
             continue
-        if not in_bk_closure(ctx, l_vec):
+        if not _in_closure(ctx, l_vec):
             continue
         dec = Decomposition(m=m, L=l_vec, F=f_vec, d=d)
         if dec not in matches:
@@ -290,13 +295,14 @@ def nl_numerical_types(dtype: DeformationType, q_h: int) -> list[NumericalNLType
     m = invert_binomial(chi, dtype.n)
     if m is None or m < 2:
         return []
-    out = []
-    for d in range(1, q_h // (2 * (m - 1)) + 1):
-        q_f = q_h - 2 * m * d
-        if q_f >= 0 or 2 * d + q_f < 0:
-            continue
-        out.append(NumericalNLType(m=m, d=d, qF=q_f))
-    return out
+    # q_F = q_h - 2*m*d < 0 and 2*d + q_F >= 0 hold exactly on this window of d
+    lo, hi = q_h // (2 * m) + 1, q_h // (2 * (m - 1))
+    if hi - lo + 1 > NL_TYPES_LIMIT:
+        raise CapabilityError(
+            f"q(H) = {q_h} admits {hi - lo + 1} numerical types (m = {m});"
+            f" the limit is {NL_TYPES_LIMIT}"
+        )
+    return [NumericalNLType(m=m, d=d, qF=q_h - 2 * m * d) for d in range(lo, hi + 1)]
 
 
 def classification_report(ctx: GeometricContext, H: Iterable[int]) -> dict:

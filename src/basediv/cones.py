@@ -35,7 +35,9 @@ from .lattice import (
     Vec,
     as_array,
     divisibility,
+    dot,
     enumerate_vectors,
+    gram_image,
     pairing,
     square,
     vec_is_zero,
@@ -162,10 +164,12 @@ class GeometricContext:
     closure induce Lagrangian fibrations; the classifier refuses to run
     without it.  ``note`` is free-form provenance, e.g. recording that the
     lattice is a Picard sublattice (divisibilities computed in a sublattice
-    may exceed those in the full lattice).
+    may exceed those in the full lattice).  ``g_ample``, ``g_peds`` and
+    ``g_walls`` hold G*ample and G*v for each ped and wall, so that a checked
+    class pairs with them by a plain dot product.
     """
 
-    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note")
+    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "g_ample", "g_peds", "g_walls")
 
     def __init__(
         self,
@@ -189,6 +193,9 @@ class GeometricContext:
         self.dtype = dtype
         self.strong_rlf = bool(strong_rlf)
         self.note = note
+        self.g_ample = gram_image(lat, self.ample)
+        self.g_peds = tuple(gram_image(lat, d) for d in self.peds)
+        self.g_walls = tuple(gram_image(lat, w) for w in self.walls)
 
     def to_json_dict(self) -> dict:
         data = {
@@ -321,40 +328,38 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     initial pairing; any violation of that descent means the declared data
     is inconsistent and raises ConsistencyError.
     """
-    lat = ctx.lat
-    current = lat.vector(alpha)
+    current = ctx.lat.vector(alpha)
     if vec_is_zero(current):
         raise DomainError("cannot walk the zero class")
-    qa = square(lat, current)
+    qa = dot(current, gram_image(ctx.lat, current))
     if qa < 0:
         raise DomainError(f"q(alpha) = {qa} must be nonnegative (closed positive cone)")
-    height = pairing(lat, current, ctx.ample)
+    height = dot(current, ctx.g_ample)
     if height <= 0:
         raise DomainError(f"(alpha, ample) = {height} must be positive")
     budget = height
     steps: list[tuple[Vec, int]] = []
     while True:
-        violated = None
-        for d in ctx.peds:
-            if pairing(lat, current, d) < 0:
-                violated = d
+        for violated, g_d in zip(ctx.peds, ctx.g_peds):
+            p = dot(current, g_d)
+            if p < 0:
                 break
-        if violated is None:
+        else:
             break
         if len(steps) >= budget:
             raise ConsistencyError(
                 "reflection walk exceeded its iteration budget (alpha, ample);"
                 " the declared context data is inconsistent"
             )
-        qd = square(lat, violated)
-        num = 2 * pairing(lat, violated, current)
+        qd = dot(violated, g_d)
+        num = 2 * p
         if num % qd != 0:
             raise ConsistencyError(
                 f"declared ped {list(violated)} produced a non-integral reflection scalar"
             )
         a = num // qd
         nxt = vec_sub(current, vec_scale(a, violated))
-        new_height = pairing(lat, nxt, ctx.ample)
+        new_height = dot(nxt, ctx.g_ample)
         if not (0 < new_height < height):
             raise ConsistencyError(
                 f"descent failed: (alpha, ample) went {height} -> {new_height};"
@@ -364,7 +369,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
         current = nxt
         height = new_height
     trace = ReflectionTrace(result=current, steps=tuple(steps))
-    if not in_bk_closure(ctx, current):
+    if not _in_closure(ctx, current):
         raise ConsistencyError("walk terminated outside the declared BK closure")
     return trace
 
@@ -374,14 +379,15 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
 
 def in_positive_cone(ctx: GeometricContext, alpha: Iterable[int], closed: bool = False) -> bool:
     """Membership in the (open or closed) positive cone on the ample side."""
-    a = ctx.lat.vector(alpha)
+    return _in_cone(ctx, ctx.lat.vector(alpha), closed)
+
+
+def _in_cone(ctx: GeometricContext, a: Vec, closed: bool) -> bool:
+    """in_positive_cone for a checked vector a."""
     if closed and vec_is_zero(a):
         return True
-    qa = square(ctx.lat, a)
-    pa = pairing(ctx.lat, a, ctx.ample)
-    if closed:
-        return qa >= 0 and pa > 0
-    return qa > 0 and pa > 0
+    qa = dot(a, gram_image(ctx.lat, a))
+    return (qa >= 0 if closed else qa > 0) and dot(a, ctx.g_ample) > 0
 
 
 def in_bk_closure(ctx: GeometricContext, alpha: Iterable[int], include_walls: bool = False) -> bool:
@@ -393,11 +399,15 @@ def in_bk_closure(ctx: GeometricContext, alpha: Iterable[int], include_walls: bo
     nonnegative pairing with the declared walls (a finer chamber condition
     than the closure itself).
     """
-    if not in_positive_cone(ctx, alpha, closed=True):
+    return _in_closure(ctx, ctx.lat.vector(alpha), include_walls)
+
+
+def _in_closure(ctx: GeometricContext, a: Vec, include_walls: bool = False) -> bool:
+    """in_bk_closure for a checked vector a."""
+    if not _in_cone(ctx, a, closed=True):
         return False
-    a = ctx.lat.vector(alpha)
-    cutters = ctx.peds + (ctx.walls if include_walls else ())
-    return all(pairing(ctx.lat, a, d) >= 0 for d in cutters)
+    cutters = ctx.g_peds + ctx.g_walls if include_walls else ctx.g_peds
+    return all(dot(a, g) >= 0 for g in cutters)
 
 
 def ped_inequality_check(lat: Lattice, d: Iterable[int]) -> bool:
@@ -447,7 +457,6 @@ def k3_ped_candidates(lat: Lattice, coeff_bound: int, ample: Sequence[int] | Non
     """
     out = enumerate_vectors(lat, -2, coeff_bound)
     if ample is not None:
-        h = lat.vector(ample)
-        gh = [sum(g * hi for g, hi in zip(row, h)) for row in lat.gram]
-        out = [v for v in out if sum(a * x for a, x in zip(gh, v)) > 0]
+        gh = gram_image(lat, lat.vector(ample))
+        out = [v for v in out if dot(gh, v) > 0]
     return out

@@ -4,11 +4,17 @@ A :class:`Lattice` wraps an integer Gram matrix ``G``; vectors are integer
 coordinate tuples in the implied basis.  The pairing is ``(a, b) = a^T G b``
 and the square is ``q(v) = (v, v)``.  Everything here is arbitrary-precision
 integer arithmetic; no floating point enters this module.
+
+The public operations (``Lattice.vector``, ``pairing``, ``square``,
+``divisibility``, ``is_primitive``) validate every vector argument.  The
+kernels ``dot`` and ``gram_image`` check nothing: they take tuples that have
+passed ``Lattice.vector``, so a hot loop validates once, at its boundary.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import CapabilityError, DomainError, StructuralError
@@ -155,15 +161,20 @@ def vec_is_zero(v: Vec) -> bool:
 # ---------------------------------------------------------------------------
 # operations
 
+def dot(a: Vec, b: Vec) -> int:
+    """sum a_i * b_i of two checked vectors; no validation."""
+    return sum(map(mul, a, b))
+
+
+def gram_image(lat: Lattice, v: Vec) -> Vec:
+    """G*v for a checked vector v, so that (a, v) = dot(a, G*v); no validation."""
+    return tuple(sum(map(mul, row, v)) for row in lat.gram)
+
+
 def pairing(lat: Lattice, a: Iterable[int], b: Iterable[int]) -> int:
     """The bilinear pairing (a, b) = a^T G b."""
     av = lat.vector(a)
-    bv = lat.vector(b)
-    total = 0
-    for ai, row in zip(av, lat.gram):
-        if ai:
-            total += ai * sum(g * bj for g, bj in zip(row, bv))
-    return total
+    return dot(av, gram_image(lat, lat.vector(b)))
 
 
 def square(lat: Lattice, v: Iterable[int]) -> int:
@@ -180,8 +191,7 @@ def divisibility(lat: Lattice, d: Iterable[int]) -> int:
     dv = lat.vector(d)
     if vec_is_zero(dv):
         raise DomainError("divisibility of the zero vector is undefined")
-    profile = [sum(g * dj for g, dj in zip(row, dv)) for row in lat.gram]
-    return math.gcd(*profile)
+    return math.gcd(*gram_image(lat, dv))
 
 
 def is_primitive(lat: Lattice, v: Iterable[int]) -> bool:

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from basediv import (
     Decomposition,
@@ -14,11 +17,13 @@ from basediv import (
     classification_report,
     classify,
     hyperbolic_plane,
+    invert_binomial,
     kumn_case1_solutions,
     kumn_nonexistence_search,
     make_type,
     nl_numerical_types,
     rank_one,
+    rr_eval,
     verify_decomposition,
 )
 
@@ -183,3 +188,17 @@ def test_nl_types_kumn_binomial_match_still_infeasible():
     # survives: q_H = 38 < 2d(m-1) for every d >= 1
     t = make_type(KUMN, 2)
     assert nl_numerical_types(t, 38) == []
+
+
+@given(st.integers(1, 5), st.integers(1, 60), st.integers(1, 40))
+def test_nl_types_window_matches_the_filtered_loop(c0, k, j):
+    # RR(q) = c0 + q/(2k) is integral at q = 2kj, where chi = c0 + j pins m = chi - 1
+    t = make_type(GENERIC, 1, coeffs=[c0, Fraction(1, 2 * k)])
+    q_h = 2 * k * j
+    m = invert_binomial(rr_eval(t, q_h), 1)
+    loop = [
+        NumericalNLType(m=m, d=d, qF=q_h - 2 * m * d)
+        for d in range(1, q_h // (2 * (m - 1)) + 1)
+        if q_h - 2 * m * d < 0 and 2 * d + q_h - 2 * m * d >= 0
+    ] if m >= 2 else []
+    assert nl_numerical_types(t, q_h) == loop

@@ -1,4 +1,5 @@
 import json
+import time
 
 from basediv.cli import main
 
@@ -166,13 +167,21 @@ def test_rank2_scan(capsys):
     assert json.loads(out) == {"bound": 50, "classes": [[-1, 1], [1, -1]]}
 
 
-def test_unbounded_scans_are_refused(capsys):
+def test_unbounded_scans_are_refused(capsys, tmp_path):
     code, _, err = run(capsys, "rank2-scan", "--bound", "100000000")
     assert code == 1
     assert "limit" in err
     code, _, err = run(capsys, "scan-kumn", "--n-max", "1000", "--m-max", "1000")
     assert code == 1
     assert "limit" in err
+    # chi = 4 pins m = 3, leaving about 1.7e11 values of d
+    slow = tmp_path / "slow.json"
+    slow.write_text(json.dumps({"kind": "Generic", "n": 1, "coeffs": ["2", "1/1000000000000"]}))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "nl-types", "--input", str(slow), "--qh", "2000000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert err.startswith("error:") and "limit" in err
 
 
 def test_validate_context_ok(capsys):

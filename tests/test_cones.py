@@ -2,13 +2,16 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basediv import (
     ConsistencyError,
     DomainError,
     GeometricContext,
     IntegralityError,
+    ReflectionTrace,
+    StructuralError,
+    classify,
     direct_sum,
     hyperbolic_plane,
     in_bk_closure,
@@ -244,3 +247,97 @@ def test_walk_reports_broken_descent_on_non_hyperbolic_lattice():
     ctx = GeometricContext(lat, (1, 1, 0), peds=[(2, -1, 1)])
     with pytest.raises(ConsistencyError, match="descent"):
         reflect_into_bk(ctx, (1, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the walk against a reference written with the validating public pairing
+
+WALK_CONTEXTS = (
+    GeometricContext(U, (2, 1), peds=[(-1, 1)]),
+    GeometricContext(direct_sum(U, rank_one(-2)), (1, 2, -1), peds=[(1, -1, 0), (0, 0, 1)]),
+    GeometricContext(
+        direct_sum(U, rank_one(-2), rank_one(-2)),
+        (5, 2, -1, -1),
+        peds=[(0, 0, 1, 0), (0, 1, 0, -1), (-1, 1, 0, 0), (0, 0, 0, 1), (0, 1, -1, 0)],
+    ),
+    # U + <+2>: its signature breaks the descent argument (see above)
+    GeometricContext(direct_sum(U, rank_one(2)), (1, 1, 0), peds=[(2, -1, 1)]),
+)
+
+
+def reference_walk(ctx, alpha):
+    """The walk of reflect_into_bk, every pairing through the public pairing."""
+    lat = ctx.lat
+    current = lat.vector(alpha)
+    if all(c == 0 for c in current):
+        raise DomainError("cannot walk the zero class")
+    qa = pairing(lat, current, current)
+    if qa < 0:
+        raise DomainError(f"q(alpha) = {qa} must be nonnegative (closed positive cone)")
+    height = pairing(lat, current, ctx.ample)
+    if height <= 0:
+        raise DomainError(f"(alpha, ample) = {height} must be positive")
+    steps = []
+    while True:
+        violated = next((d for d in ctx.peds if pairing(lat, current, d) < 0), None)
+        if violated is None:
+            break
+        if len(steps) >= pairing(lat, alpha, ctx.ample):
+            raise ConsistencyError(
+                "reflection walk exceeded its iteration budget (alpha, ample);"
+                " the declared context data is inconsistent"
+            )
+        qd = pairing(lat, violated, violated)
+        num = 2 * pairing(lat, violated, current)
+        if num % qd != 0:
+            raise ConsistencyError(f"declared ped {list(violated)} produced a non-integral reflection scalar")
+        a = num // qd
+        nxt = tuple(c - a * v for c, v in zip(current, violated))
+        new_height = pairing(lat, nxt, ctx.ample)
+        if not (0 < new_height < height):
+            raise ConsistencyError(
+                f"descent failed: (alpha, ample) went {height} -> {new_height};"
+                " the declared context data is inconsistent"
+            )
+        steps.append((violated, a))
+        current, height = nxt, new_height
+    if not in_bk_closure(ctx, current):
+        raise ConsistencyError("walk terminated outside the declared BK closure")
+    return ReflectionTrace(result=current, steps=tuple(steps))
+
+
+def _outcome(walk, ctx, alpha):
+    try:
+        return walk(ctx, alpha)
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(WALK_CONTEXTS) - 1), st.lists(st.integers(-8, 8), min_size=4, max_size=4))
+@example(3, [1, 0, 0, 0])
+@example(2, [0, 8, -3, 2])
+def test_walk_matches_reference_walk(i, coords):
+    ctx = WALK_CONTEXTS[i]
+    alpha = tuple(coords[: ctx.lat.rank])
+    assert _outcome(reflect_into_bk, ctx, alpha) == _outcome(reference_walk, ctx, alpha)
+
+
+# ---------------------------------------------------------------------------
+# validation at the public boundary
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx: classify(ctx, (1, True)),
+        lambda ctx: classify(ctx, (3, 1, 0)),
+        lambda ctx: reflect_into_bk(ctx, [1.5, 2]),
+        lambda ctx: in_bk_closure(ctx, ("1", 0)),
+        lambda ctx: in_positive_cone(ctx, (1, 1, 1)),
+        lambda ctx: pairing(ctx.lat, (1, 0), (False, 1)),
+    ],
+    ids=["classify-bool", "classify-length", "walk-float", "closure-string", "cone-length", "pairing-bool"],
+)
+def test_public_entry_points_validate_their_vectors(k3_pencil, call):
+    with pytest.raises(StructuralError):
+        call(k3_pencil)

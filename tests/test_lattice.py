@@ -18,6 +18,7 @@ from basediv import (
     square,
     vec_add,
 )
+from basediv.lattice import dot, gram_image
 
 U = hyperbolic_plane()
 U_MINUS4 = direct_sum(hyperbolic_plane(), rank_one(-4))
@@ -38,6 +39,8 @@ def test_pairing_dimension_mismatch():
         pairing(U, (1, 0, 0), (0, 1))
     with pytest.raises(StructuralError):
         pairing(U, (1, 0), (0,))
+    with pytest.raises(StructuralError, match="integer entry"):
+        pairing(U, (1, 0), (True, 1))
 
 
 def test_gram_validation():
@@ -126,6 +129,37 @@ def test_enumerate_vectors_matches_naive_sweep(lat, bound, target):
     box = range(-bound, bound + 1)
     naive = [v for v in product(box, repeat=lat.rank) if pairing(lat, v, v) == target]
     assert enumerate_vectors(lat, target, bound) == naive
+
+
+BIG = 10**30
+
+
+@st.composite
+def gram_and_vectors(draw):
+    """A symmetric Gram matrix of rank 1-6 (diagonals may be zero or the whole
+    form degenerate) with two vectors, entries up to about 10^30."""
+    r = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG))
+    rows = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            rows[i][j] = rows[j][i] = draw(entry)
+    vec = st.tuples(*[entry] * r)
+    return Lattice(rows), draw(vec), draw(vec)
+
+
+@given(gram_and_vectors())
+@example((Lattice([[0, 0], [0, 0]]), (BIG, -1), (3, BIG)))
+@example((Lattice([[0, BIG], [BIG, 0]]), (BIG, BIG), (-BIG, 1)))
+def test_dot_of_gram_image_matches_naive_double_sum(case):
+    lat, a, b = case
+    r = lat.rank
+    naive = 0
+    for i in range(r):
+        for j in range(r):
+            naive += a[i] * lat.gram[i][j] * b[j]
+    assert dot(a, gram_image(lat, b)) == naive
+    assert pairing(lat, a, b) == naive
 
 
 def test_direct_sum_block_structure():

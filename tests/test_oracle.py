@@ -1,7 +1,11 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from basediv import (
     CapabilityError,
+    ConsistencyError,
     Decomposition,
     DomainError,
     GENERIC,
@@ -17,6 +21,14 @@ from basediv import (
     rank_one,
     rr_eval,
 )
+
+from conftest import fixture_path
+
+# the declared contexts of rank <= 3 the oracle can sweep
+ORACLE_FIXTURES = {
+    name: GeometricContext.from_json_dict(json.loads(fixture_path(f"{name}.json").read_text()))
+    for name in ("k3_pencil", "k3n2_rank3", "kum2_u")
+}
 
 
 def test_oracle_rr_examples():
@@ -81,3 +93,26 @@ def test_oracle_agrees_with_classifier_on_pencil_box(k3_pencil):
                 continue
             sweep = oracle_classify(ctx, h, 4)
             assert sweep == ([dec] if dec is not None else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(ORACLE_FIXTURES)), st.lists(st.integers(-6, 6), min_size=3, max_size=3))
+@example("k3_pencil", [4, 1, 0])
+@example("k3n2_rank3", [1, 3, 0])
+def test_classify_agrees_with_oracle_on_fixtures(name, coords):
+    # with |H_i| <= 6 and ped entries in {-1, 0, 1}, every L = (H - F)/m lies
+    # in the oracle's box of bound 8, so the sweep sees every decomposition
+    ctx = ORACLE_FIXTURES[name]
+    h = tuple(coords[: ctx.lat.rank])
+    try:
+        sweep = oracle_classify(ctx, h, 8)
+    except DomainError:
+        with pytest.raises(DomainError):
+            classify(ctx, h)
+        return
+    if len(sweep) > 1:
+        with pytest.raises(ConsistencyError):
+            classify(ctx, h)
+        return
+    dec = classify(ctx, h)
+    assert sweep == ([dec] if dec is not None else [])
