@@ -5,9 +5,10 @@ H = m*L + F with m >= 2, L a primitive isotropic movable class, F a declared
 prime-exceptional class with (L, F) > 0, and chi = RR(q(H)) equal to the
 binomial C(m+n, n).  Because the RR polynomial is certified strictly
 monotonic, chi pins m uniquely (by inverting the binomial) before any
-search happens; what remains is a linear scan over the declared peds, with
-L = (H - F)/m checked for integrality, primitivity, isotropy and membership
-in the declared birational-Kaehler closure (movability).
+search happens; what remains is a linear scan over the declared peds.  L is
+isotropic iff q(H) - 2(H, F) + q(F) = 0, tested on scalars first; only then
+is L = (H - F)/m built and checked for integrality, primitivity, (L, F) > 0
+and membership in the declared birational-Kaehler closure (movability).
 
 The classifier refuses to run unless the context certifies its hypotheses:
 ``strong_rlf`` must be declared and the RR polynomial must be strictly
@@ -80,9 +81,9 @@ class NumericalNLType:
         return {"m": self.m, "d": self.d, "q_F": self.qF}
 
 
-def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int]:
+def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, list[int]]:
     """Check q(H) > 0, (H, ample) > 0 and (H, D) >= 0 against declared data,
-    for a checked vector h_vec."""
+    for a checked vector h_vec; return q(H) and (H, F) for each declared ped F."""
     g_h = gram_image(ctx.lat, h_vec)
     q_h = dot(h_vec, g_h)
     if q_h <= 0:
@@ -90,13 +91,13 @@ def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int]:
     p_h = dot(g_h, ctx.ample)
     if p_h <= 0:
         raise DomainError(f"(H, ample) = {p_h} must be positive")
-    for d in ctx.peds + ctx.walls:
-        p = dot(g_h, d)
+    pairings = [dot(g_h, d) for d in ctx.peds + ctx.walls]
+    for d, p in zip(ctx.peds + ctx.walls, pairings):
         if p < 0:
             raise DomainError(
                 f"H is not nef against the declared classes: (H, {list(d)}) = {p} < 0"
             )
-    return q_h, p_h
+    return q_h, pairings[:len(ctx.peds)]
 
 
 def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
@@ -112,9 +113,8 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
             "context does not certify the Lagrangian-fibration hypothesis (strong_rlf);"
             " refusing to classify rather than guess"
         )
-    lat = ctx.lat
-    h_vec = lat.vector(H)
-    q_h, _ = _require_big_nef(ctx, h_vec)
+    h_vec = ctx.lat.vector(H)
+    q_h, p_peds = _require_big_nef(ctx, h_vec)
     if not check_strict_monotonic(ctx.dtype, q_h):
         raise HypothesisError(
             f"RR polynomial of {ctx.dtype!r} is not strictly monotonic up to q(H) = {q_h};"
@@ -128,16 +128,16 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
     if m is None or m < 2:
         return None
     matches: list[Decomposition] = []
-    for f_vec, g_f in zip(ctx.peds, ctx.g_peds):
+    for f_vec, q_f, p_f in zip(ctx.peds, ctx.q_peds, p_peds):
+        if q_h - 2 * p_f + q_f != 0:
+            continue
         diff = vec_sub(h_vec, f_vec)
         if vec_is_zero(diff) or any(c % m != 0 for c in diff):
             continue
         l_vec = tuple(c // m for c in diff)
-        if dot(l_vec, gram_image(lat, l_vec)) != 0:
-            continue
         if math.gcd(*l_vec) != 1:
             continue
-        d = dot(l_vec, g_f)
+        d = (p_f - q_f) // m
         if d <= 0:
             continue
         if not _in_closure(ctx, l_vec):

@@ -166,10 +166,11 @@ class GeometricContext:
     lattice is a Picard sublattice (divisibilities computed in a sublattice
     may exceed those in the full lattice).  ``g_ample``, ``g_peds`` and
     ``g_walls`` hold G*ample and G*v for each ped and wall, so that a checked
-    class pairs with them by a plain dot product.
+    class pairs with them by a plain dot product; ``q_peds`` holds q(F) for
+    each ped F.
     """
 
-    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "g_ample", "g_peds", "g_walls")
+    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "g_ample", "g_peds", "g_walls", "q_peds")
 
     def __init__(
         self,
@@ -196,6 +197,7 @@ class GeometricContext:
         self.g_ample = gram_image(lat, self.ample)
         self.g_peds = tuple(gram_image(lat, d) for d in self.peds)
         self.g_walls = tuple(gram_image(lat, w) for w in self.walls)
+        self.q_peds = tuple(map(dot, self.peds, self.g_peds))
 
     def to_json_dict(self) -> dict:
         data = {

@@ -9,6 +9,8 @@ The public operations (``Lattice.vector``, ``pairing``, ``square``,
 ``divisibility``, ``is_primitive``) validate every vector argument.  The
 kernels ``dot`` and ``gram_image`` check nothing: they take tuples that have
 passed ``Lattice.vector``, so a hot loop validates once, at its boundary.
+``enumerate_vectors`` builds the completions of a box prefix once per state
+(q(prefix) - target, pairings with the free basis vectors) and shares them.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ Vec = tuple[int, ...]
 ENUM_RANK_LIMIT = 6
 # ... and visits (2B+1)^(rank-1) prefixes (at rank 1, one row of 2B+1).
 ENUM_PREFIX_LIMIT = 10**6
+# ... and returns at most this many vectors (a degenerate row solves for a whole range).
+ENUM_OUTPUT_LIMIT = 10**6
 
 
 def _as_int(x) -> int:
@@ -150,10 +154,6 @@ def vec_scale(k: int, v: Vec) -> Vec:
     return tuple(k * x for x in v)
 
 
-def vec_neg(v: Vec) -> Vec:
-    return tuple(-x for x in v)
-
-
 def vec_is_zero(v: Vec) -> bool:
     return all(x == 0 for x in v)
 
@@ -207,9 +207,9 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
 
     Exhaustive within the box, returned in lexicographic order (so output
     is deterministic and closed under negation).  Coordinates 0..r-2 run
-    over the box; for each such prefix the last coordinate x solves
-    g*x^2 + 2*b*x + c = square_value exactly, so the cost is
-    (2B+1)^(r-1) prefixes rather than (2B+1)^r points.
+    over the box and the last one solves g*x^2 + 2*b*x + c = 0 exactly.  The
+    completions of a prefix depend only on its state (c, lin), so each list is
+    built once per call; on orthogonal sums many prefixes share a state.
     """
     if lat.rank > ENUM_RANK_LIMIT:
         raise CapabilityError(
@@ -223,23 +223,33 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
             f"box enumeration at rank {lat.rank}, bound {coeff_bound} visits {prefixes} prefixes;"
             f" the limit is {ENUM_PREFIX_LIMIT}"
         )
-    out: list[Vec] = []
-    _extend(lat.gram, range(-coeff_bound, coeff_bound + 1), (), -square_value, [0] * lat.rank, out)
-    return out
+    if lat.rank == 1:
+        return [(x,) for x in _last_coordinate(lat.gram[0][0], 0, -square_value, coeff_bound)]
+    return _completions(lat.gram, range(-coeff_bound, coeff_bound + 1), -square_value, (0,) * lat.rank, {})
 
 
-def _extend(gram, box: range, prefix: Vec, c: int, lin: list[int], out: list[Vec]) -> None:
-    """Append to out, in lexicographic order, every completion v of prefix in
-    the box with q(v) = square_value; c = q(prefix) - square_value and lin[k]
-    is (prefix, e_(i+k)) for the free coordinates i = len(prefix), i+1, ..."""
-    i = len(prefix)
-    if i == len(gram) - 1:
-        out.extend(prefix + (x,) for x in _last_coordinate(gram[i][i], lin[0], c, box[-1]))
-        return
+def _completions(gram, box: range, c: int, lin: Vec, memo: dict) -> list[Vec]:
+    """The completions (v_i, ..., v_(r-1)) in the box, ascending, of any prefix
+    of length i = r - len(lin) with c = q(prefix) - square_value and lin[k] =
+    (prefix, e_(i+k)); memo maps each state (c, lin) seen to its list."""
+    found = memo.get((c, lin))
+    if found is not None:
+        return found
+    i, last = len(gram) - len(lin), len(lin) == 2
     row, g, b = gram[i][i + 1:], gram[i][i], lin[0]
+    out: list[Vec] = []
     for x in box:
-        rest = [l + x * r for l, r in zip(lin[1:], row)]
-        _extend(gram, box, prefix + (x,), c + x * (2 * b + g * x), rest, out)
+        c_x = c + x * (2 * b + g * x)
+        if last:
+            tails = _last_coordinate(gram[i + 1][i + 1], lin[1] + x * row[0], c_x, box[-1])
+        else:
+            tails = _completions(gram, box, c_x, tuple(l + x * r for l, r in zip(lin[1:], row)), memo)
+        if len(out) + len(tails) > ENUM_OUTPUT_LIMIT:
+            raise CapabilityError(f"box enumeration at rank {len(gram)}, bound {box[-1]}"
+                                  f" returns more than {ENUM_OUTPUT_LIMIT} vectors")
+        out.extend([(x, y) for y in tails] if last else [(x,) + t for t in tails])
+    memo[c, lin] = out
+    return out
 
 
 def _last_coordinate(g: int, b: int, c: int, bound: int) -> list[int] | range:

@@ -78,6 +78,20 @@ def test_declared_walls_tighten_the_nef_gate(k3_pencil):
         classify(walled, (3, 1))
 
 
+def test_non_primitive_isotropic_candidate_is_rejected():
+    """U + <-2>: L = (H - F)/2 = (2, 2, -2) is isotropic with d = 4 and lies in
+    the closure, so only its gcd 2 rejects it (without that test, m = 2)."""
+    ctx = GeometricContext(
+        Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]]),
+        (2, 2, -1),
+        peds=[(0, 0, 1)],
+        dtype=make_type(GENERIC, 1, coeffs=[-4, Fraction(1, 2)]),
+        strong_rlf=True,
+    )
+    assert rr_eval(ctx.dtype, 14) == 3 and invert_binomial(3, 1) == 2
+    assert classify(ctx, (4, 4, -3)) is None
+
+
 def test_classify_on_hyperbolic_plane_context():
     ctx = GeometricContext(
         hyperbolic_plane(), (1, 2), peds=[(1, -1)], dtype=make_type(K3N, 1), strong_rlf=True

@@ -18,6 +18,7 @@ from basediv import (
     square,
     vec_add,
 )
+from basediv import lattice
 from basediv.lattice import dot, gram_image
 
 U = hyperbolic_plane()
@@ -109,6 +110,20 @@ def test_enumerate_vectors_guards():
         enumerate_vectors(rank_one(0), 0, 10**9)
 
 
+def test_enumerate_vectors_output_guard(monkeypatch):
+    # a zero row solves for every x in the box: 999999^2 and 2001^2 vectors
+    zero = Lattice([[0, 0], [0, 0]])
+    for bound in (499_999, 1000):
+        with pytest.raises(CapabilityError, match="returns more than 1000000 vectors"):
+            enumerate_vectors(zero, 0, bound)
+    assert len(enumerate_vectors(zero, 0, 499)) == 999**2
+    # the inner completion list of a rank-3 zero form (21^2 pairs) is refused too
+    monkeypatch.setattr(lattice, "ENUM_OUTPUT_LIMIT", 400)
+    with pytest.raises(CapabilityError, match="returns more than 400 vectors"):
+        enumerate_vectors(Lattice([[0] * 3] * 3), 0, 10)
+    assert len(enumerate_vectors(Lattice([[0] * 3] * 3), 0, 3)) == 7**3
+
+
 @st.composite
 def gram_matrices(draw):
     r = draw(st.integers(1, 5))
@@ -119,16 +134,47 @@ def gram_matrices(draw):
     return Lattice(rows)
 
 
-@settings(max_examples=150, deadline=None)
-@given(gram_matrices(), st.integers(1, 3), st.integers(-8, 8))
-@example(Lattice([[0, 0], [0, 0]]), 2, 0)
-@example(Lattice([[2, 0], [0, 0]]), 2, 2)
-@example(Lattice([[0, 1], [1, 0]]), 3, 0)
-@example(Lattice([[-1]]), 3, -4)
-def test_enumerate_vectors_matches_naive_sweep(lat, bound, target):
-    box = range(-bound, bound + 1)
-    naive = [v for v in product(box, repeat=lat.rank) if pairing(lat, v, v) == target]
-    assert enumerate_vectors(lat, target, bound) == naive
+@st.composite
+def dense_boxes(draw):
+    return draw(gram_matrices()), draw(st.integers(1, 3))
+
+
+@st.composite
+def orthogonal_sum_boxes(draw):
+    """direct_sum of U, <2k> and random 2x2 blocks, rank 2-6, with a bound whose
+    box holds at most 20000 points: the pairings of a prefix with later
+    summands vanish, so prefixes share states."""
+    entry = st.integers(-3, 3)
+    block = st.one_of(
+        st.just(U),
+        st.builds(lambda k: rank_one(2 * k), entry),
+        st.builds(lambda a, b, c: Lattice([[a, b], [b, c]]), entry, entry, entry),
+    )
+    blocks = st.lists(block, min_size=1, max_size=6)
+    lat = direct_sum(*draw(blocks.filter(lambda bs: 2 <= sum(x.rank for x in bs) <= 6)))
+    top = max(b for b in range(1, 71) if (2 * b + 1) ** lat.rank <= 20000)
+    return lat, draw(st.integers(1, top))
+
+
+def naive_sweep(lat, target, bound):
+    box, g, r = range(-bound, bound + 1), lat.gram, lat.rank
+    return [
+        v for v in product(box, repeat=r)
+        if sum(v[i] * g[i][j] * v[j] for i in range(r) for j in range(r)) == target
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(dense_boxes(), orthogonal_sum_boxes()), st.integers(-8, 8))
+@example((Lattice([[0, 0], [0, 0]]), 2), 0)
+@example((Lattice([[2, 0], [0, 0]]), 2), 2)
+@example((Lattice([[0, 1], [1, 0]]), 3), 0)
+@example((Lattice([[-1]]), 3), -4)
+@example((direct_sum(U, rank_one(-2), rank_one(-2), rank_one(4)), 2), -2)
+@example((direct_sum(rank_one(0), U, Lattice([[2, 1], [1, -2]]), rank_one(-2)), 2), 0)
+def test_enumerate_vectors_matches_naive_sweep(case, target):
+    lat, bound = case
+    assert enumerate_vectors(lat, target, bound) == naive_sweep(lat, target, bound)
 
 
 BIG = 10**30
