@@ -81,9 +81,9 @@ class NumericalNLType:
         return {"m": self.m, "d": self.d, "q_F": self.qF}
 
 
-def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, list[int]]:
+def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int]:
     """Check q(H) > 0, (H, ample) > 0 and (H, D) >= 0 against declared data,
-    for a checked vector h_vec; return q(H) and (H, F) for each declared ped F."""
+    for a checked vector h_vec."""
     g_h = gram_image(ctx.lat, h_vec)
     q_h = dot(h_vec, g_h)
     if q_h <= 0:
@@ -91,13 +91,13 @@ def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, list[int]]
     p_h = dot(g_h, ctx.ample)
     if p_h <= 0:
         raise DomainError(f"(H, ample) = {p_h} must be positive")
-    pairings = [dot(g_h, d) for d in ctx.peds + ctx.walls]
-    for d, p in zip(ctx.peds + ctx.walls, pairings):
+    for d in ctx.peds + ctx.walls:
+        p = dot(g_h, d)
         if p < 0:
             raise DomainError(
                 f"H is not nef against the declared classes: (H, {list(d)}) = {p} < 0"
             )
-    return q_h, pairings[:len(ctx.peds)]
+    return q_h, p_h
 
 
 def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
@@ -114,7 +114,7 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
             " refusing to classify rather than guess"
         )
     h_vec = ctx.lat.vector(H)
-    q_h, p_peds = _require_big_nef(ctx, h_vec)
+    q_h, _ = _require_big_nef(ctx, h_vec)
     if not check_strict_monotonic(ctx.dtype, q_h):
         raise HypothesisError(
             f"RR polynomial of {ctx.dtype!r} is not strictly monotonic up to q(H) = {q_h};"
@@ -128,8 +128,8 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
     if m is None or m < 2:
         return None
     matches: list[Decomposition] = []
-    for f_vec, q_f, p_f in zip(ctx.peds, ctx.q_peds, p_peds):
-        if q_h - 2 * p_f + q_f != 0:
+    for f_vec, g_f, q_f in zip(ctx.peds, ctx.g_peds, ctx.q_peds):
+        if q_h - 2 * dot(h_vec, g_f) + q_f != 0:
             continue
         diff = vec_sub(h_vec, f_vec)
         if vec_is_zero(diff) or any(c % m != 0 for c in diff):
@@ -137,7 +137,7 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
         l_vec = tuple(c // m for c in diff)
         if math.gcd(*l_vec) != 1:
             continue
-        d = (p_f - q_f) // m
+        d = dot(l_vec, g_f)
         if d <= 0:
             continue
         if not _in_closure(ctx, l_vec):

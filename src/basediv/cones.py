@@ -166,8 +166,7 @@ class GeometricContext:
     lattice is a Picard sublattice (divisibilities computed in a sublattice
     may exceed those in the full lattice).  ``g_ample``, ``g_peds`` and
     ``g_walls`` hold G*ample and G*v for each ped and wall, so that a checked
-    class pairs with them by a plain dot product; ``q_peds`` holds q(F) for
-    each ped F.
+    class pairs with them by a plain dot product; ``q_peds`` holds q(F) per ped.
     """
 
     __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "g_ample", "g_peds", "g_walls", "q_peds")

@@ -9,8 +9,8 @@ The public operations (``Lattice.vector``, ``pairing``, ``square``,
 ``divisibility``, ``is_primitive``) validate every vector argument.  The
 kernels ``dot`` and ``gram_image`` check nothing: they take tuples that have
 passed ``Lattice.vector``, so a hot loop validates once, at its boundary.
-``enumerate_vectors`` builds the completions of a box prefix once per state
-(q(prefix) - target, pairings with the free basis vectors) and shares them.
+``enumerate_vectors`` builds the completions of a box prefix orthogonal to all
+later basis vectors once per value of q(prefix) - target and shares them.
 """
 
 from __future__ import annotations
@@ -207,9 +207,10 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
 
     Exhaustive within the box, returned in lexicographic order (so output
     is deterministic and closed under negation).  Coordinates 0..r-2 run
-    over the box and the last one solves g*x^2 + 2*b*x + c = 0 exactly.  The
-    completions of a prefix depend only on its state (c, lin), so each list is
-    built once per call; on orthogonal sums many prefixes share a state.
+    over the box and the last one solves g*x^2 + 2*b*x + c = 0 exactly.  A
+    prefix orthogonal to every later basis vector (as at the end of each
+    summand of an orthogonal sum) has completions that depend only on c, so
+    they are built once per c and shared; other prefixes are not stored.
     """
     if lat.rank > ENUM_RANK_LIMIT:
         raise CapabilityError(
@@ -229,13 +230,13 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
 
 
 def _completions(gram, box: range, c: int, lin: Vec, memo: dict) -> list[Vec]:
-    """The completions (v_i, ..., v_(r-1)) in the box, ascending, of any prefix
-    of length i = r - len(lin) with c = q(prefix) - square_value and lin[k] =
-    (prefix, e_(i+k)); memo maps each state (c, lin) seen to its list."""
-    found = memo.get((c, lin))
-    if found is not None:
-        return found
+    """The ascending completions (v_i, ..., v_(r-1)) in the box of a prefix with
+    i = r - len(lin), c = q(prefix) - square_value and lin[k] = (prefix, e_(i+k)).
+    memo maps (i, c) to the list of a state with lin = 0 and i >= 2 (x, -x alone reach depth 1)."""
     i, last = len(gram) - len(lin), len(lin) == 2
+    shared = i > 1 and not any(lin)
+    if shared and (i, c) in memo:
+        return memo[i, c]
     row, g, b = gram[i][i + 1:], gram[i][i], lin[0]
     out: list[Vec] = []
     for x in box:
@@ -245,10 +246,10 @@ def _completions(gram, box: range, c: int, lin: Vec, memo: dict) -> list[Vec]:
         else:
             tails = _completions(gram, box, c_x, tuple(l + x * r for l, r in zip(lin[1:], row)), memo)
         if len(out) + len(tails) > ENUM_OUTPUT_LIMIT:
-            raise CapabilityError(f"box enumeration at rank {len(gram)}, bound {box[-1]}"
-                                  f" returns more than {ENUM_OUTPUT_LIMIT} vectors")
+            raise CapabilityError(f"box enumeration at rank {len(gram)}, bound {box[-1]} returns more than {ENUM_OUTPUT_LIMIT} vectors")
         out.extend([(x, y) for y in tails] if last else [(x,) + t for t in tails])
-    memo[c, lin] = out
+    if shared:
+        memo[i, c] = out
     return out
 
 

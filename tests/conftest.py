@@ -1,17 +1,10 @@
-import os
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
 
 from basediv import GeometricContext, K3N, KUMN, Lattice, make_type
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
-# cannot pass on one runner and fail on the next; local runs draw at random.
-settings.register_profile("ci", derandomize=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def fixture_path(name: str) -> Path:

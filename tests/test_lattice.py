@@ -134,16 +134,23 @@ def gram_matrices(draw):
     return Lattice(rows)
 
 
-@st.composite
-def dense_boxes(draw):
-    return draw(gram_matrices()), draw(st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+@given(gram_matrices(), st.integers(1, 3), st.integers(-8, 8))
+@example(Lattice([[0, 0], [0, 0]]), 2, 0)
+@example(Lattice([[2, 0], [0, 0]]), 2, 2)
+@example(Lattice([[0, 1], [1, 0]]), 3, 0)
+@example(Lattice([[-1]]), 3, -4)
+def test_enumerate_vectors_matches_naive_sweep(lat, bound, target):
+    box = range(-bound, bound + 1)
+    naive = [v for v in product(box, repeat=lat.rank) if pairing(lat, v, v) == target]
+    assert enumerate_vectors(lat, target, bound) == naive
 
 
 @st.composite
 def orthogonal_sum_boxes(draw):
     """direct_sum of U, <2k> and random 2x2 blocks, rank 2-6, with a bound whose
-    box holds at most 20000 points: the pairings of a prefix with later
-    summands vanish, so prefixes share states."""
+    box holds at most 20000 points: a prefix that ends a summand pairs to zero
+    with every later basis vector, so prefixes share stored completion lists."""
     entry = st.integers(-3, 3)
     block = st.one_of(
         st.just(U),
@@ -156,25 +163,19 @@ def orthogonal_sum_boxes(draw):
     return lat, draw(st.integers(1, top))
 
 
-def naive_sweep(lat, target, bound):
+@settings(max_examples=150, deadline=None)
+@given(orthogonal_sum_boxes(), st.integers(-8, 8))
+@example((direct_sum(U, rank_one(-2), rank_one(-2), rank_one(4)), 2), -2)
+@example((direct_sum(rank_one(0), U, Lattice([[2, 1], [1, -2]]), rank_one(-2)), 2), 0)
+@example((direct_sum(rank_one(2), rank_one(-2), rank_one(2), rank_one(-2)), 3), 0)
+def test_enumerate_vectors_on_orthogonal_sums_matches_naive_sweep(case, target):
+    lat, bound = case
     box, g, r = range(-bound, bound + 1), lat.gram, lat.rank
-    return [
+    naive = [
         v for v in product(box, repeat=r)
         if sum(v[i] * g[i][j] * v[j] for i in range(r) for j in range(r)) == target
     ]
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(dense_boxes(), orthogonal_sum_boxes()), st.integers(-8, 8))
-@example((Lattice([[0, 0], [0, 0]]), 2), 0)
-@example((Lattice([[2, 0], [0, 0]]), 2), 2)
-@example((Lattice([[0, 1], [1, 0]]), 3), 0)
-@example((Lattice([[-1]]), 3), -4)
-@example((direct_sum(U, rank_one(-2), rank_one(-2), rank_one(4)), 2), -2)
-@example((direct_sum(rank_one(0), U, Lattice([[2, 1], [1, -2]]), rank_one(-2)), 2), 0)
-def test_enumerate_vectors_matches_naive_sweep(case, target):
-    lat, bound = case
-    assert enumerate_vectors(lat, target, bound) == naive_sweep(lat, target, bound)
+    assert enumerate_vectors(lat, target, bound) == naive
 
 
 BIG = 10**30
