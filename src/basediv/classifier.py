@@ -20,11 +20,10 @@ reported loudly rather than silently picking one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .cones import GeometricContext, _in_closure, in_bk_closure
-from .errors import CapabilityError, ConsistencyError, DomainError, HypothesisError
+from .cones import GeometricContext, _in_closure, _Record, _set, in_bk_closure
+from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError
 from .lattice import (
     Vec,
     divisibility,
@@ -52,30 +51,34 @@ KUMN_SEARCH_LIMIT = 10**8
 NL_TYPES_LIMIT = 10**5
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """The certificate H = m*L + F for a classified base divisor.
 
     d = (L, F) > 0; for even lattices the divisibility chain forces
     -q(F) <= 2*div(F) <= 2*d.
     """
 
-    m: int
-    L: Vec
-    F: Vec
-    d: int
+    __slots__ = ("m", "L", "F", "d")
+
+    def __init__(self, m: int, L: Vec, F: Vec, d: int):
+        _set(self, "m", m)
+        _set(self, "L", L)
+        _set(self, "F", F)
+        _set(self, "d", d)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "L": list(self.L), "F": list(self.F), "d": self.d}
 
 
-@dataclass(frozen=True)
-class NumericalNLType:
+class NumericalNLType(_Record):
     """Numerical invariants (m, d, q(F)) of a potential base-divisor locus."""
 
-    m: int
-    d: int
-    qF: int
+    __slots__ = ("m", "d", "qF")
+
+    def __init__(self, m: int, d: int, qF: int):
+        _set(self, "m", m)
+        _set(self, "d", d)
+        _set(self, "qF", qF)
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "d": self.d, "q_F": self.qF}
@@ -106,6 +109,11 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
     Returns the unique Decomposition, or None when H is base-divisor free
     relative to the declared context data.
     """
+    _require_hypotheses(ctx)
+    return _classify(ctx, ctx.lat.vector(H))[2]
+
+
+def _require_hypotheses(ctx: GeometricContext) -> None:
     if ctx.dtype is None:
         raise HypothesisError("context declares no deformation type; RR data is required")
     if not ctx.strong_rlf:
@@ -113,7 +121,12 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
             "context does not certify the Lagrangian-fibration hypothesis (strong_rlf);"
             " refusing to classify rather than guess"
         )
-    h_vec = ctx.lat.vector(H)
+
+
+def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decomposition | None]:
+    """q(H), chi = RR(q(H)) and the decomposition (or None) of a checked class
+    h_vec, on a context that meets the hypotheses; the one classify run
+    behind classify and classification_report."""
     q_h, _ = _require_big_nef(ctx, h_vec)
     if not check_strict_monotonic(ctx.dtype, q_h):
         raise HypothesisError(
@@ -123,10 +136,10 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
     n = ctx.dtype.n
     chi = rr_eval(ctx.dtype, q_h)
     if chi < 1:
-        return None
+        return q_h, chi, None
     m = invert_binomial(chi, n)
     if m is None or m < 2:
-        return None
+        return q_h, chi, None
     matches: list[Decomposition] = []
     for f_vec, g_f, q_f in zip(ctx.peds, ctx.g_peds, ctx.q_peds):
         if q_h - 2 * dot(h_vec, g_f) + q_f != 0:
@@ -142,7 +155,7 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
             continue
         if not _in_closure(ctx, l_vec):
             continue
-        dec = Decomposition(m=m, L=l_vec, F=f_vec, d=d)
+        dec = Decomposition(m, l_vec, f_vec, d)
         if dec not in matches:
             matches.append(dec)
     if len(matches) > 1:
@@ -151,7 +164,7 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
             f" {list(h_vec)}; the fixed divisor must be unique, so the declared"
             " ped data is inconsistent"
         )
-    return matches[0] if matches else None
+    return q_h, chi, matches[0] if matches else None
 
 
 def verify_decomposition(ctx: GeometricContext, H: Iterable[int], dec: Decomposition) -> bool:
@@ -167,7 +180,7 @@ def verify_decomposition(ctx: GeometricContext, H: Iterable[int], dec: Decomposi
         h_vec = lat.vector(H)
         l_vec = lat.vector(dec.L)
         f_vec = lat.vector(dec.F)
-    except Exception:
+    except BasedivError:
         return False
     if dec.m < 2:
         return False
@@ -188,7 +201,7 @@ def verify_decomposition(ctx: GeometricContext, H: Iterable[int], dec: Decomposi
     q_h = square(lat, h_vec)
     try:
         chi = rr_eval(ctx.dtype, q_h)
-    except Exception:
+    except BasedivError:
         return False
     if chi != math.comb(dec.m + ctx.dtype.n, ctx.dtype.n):
         return False
@@ -306,17 +319,17 @@ def nl_numerical_types(dtype: DeformationType, q_h: int) -> list[NumericalNLType
 
 
 def classification_report(ctx: GeometricContext, H: Iterable[int]) -> dict:
-    """JSON-ready report wrapping classify with its certificates."""
+    """JSON-ready report of one classify run with its certificates."""
     h_vec = ctx.lat.vector(H)
-    dec = classify(ctx, h_vec)
-    q_h = square(ctx.lat, h_vec)
+    _require_hypotheses(ctx)
+    q_h, chi, dec = _classify(ctx, h_vec)
     return {
         "q_H": q_h,
-        "rr_value": rr_eval(ctx.dtype, q_h),
+        "rr_value": chi,
         "has_base_divisor": dec is not None,
         "decomposition": dec.to_json_dict() if dec is not None else None,
         "certificates": {
-            "monotonic": check_strict_monotonic(ctx.dtype, q_h),
+            "monotonic": True,  # the run refuses an RR polynomial not certified up to q(H)
             "strong_rlf": ctx.strong_rlf,
         },
     }

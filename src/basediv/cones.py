@@ -26,10 +26,9 @@ records the step multiplicities, which reconstruct the input exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError
+from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError, show_int
 from .lattice import (
     Lattice,
     Vec,
@@ -50,15 +49,64 @@ from .riemann_roch import DeformationType, deformation_from_json_dict
 RANK2_SCAN_BOUND_LIMIT = 500
 
 
-@dataclass(frozen=True)
-class ContextCheck:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable result records.
+
+    A subclass names its fields in ``__slots__`` and sets each once in its
+    ``__init__`` through ``_set``.  Two records are equal when they are of
+    the same class and their fields are; hash and repr use the same fields.
+    Fields named in the class keyword ``hidden`` take no part in any of the
+    three.  Assigning or deleting a field raises AttributeError.  Records
+    are not dataclasses because ``dataclasses`` imports ``inspect``, about
+    10 ms of every CLI call's start-up; an ``__init__`` written out as a
+    frozen dataclass would generate it constructs no slower.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden=()):
+        super().__init_subclass__()
+        cls._fields = tuple(f for f in cls.__slots__ if f not in hidden)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {self.__class__.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {self.__class__.__name__}")
+
+
+class ContextCheck(_Record, hidden=("error",)):
     """One validated context invariant: name, outcome, human-readable detail,
     and the error raised when a field failed to parse (structural: exit 2)."""
 
-    name: str
-    passed: bool
-    detail: str
-    error: BasedivError | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("name", "passed", "detail", "error")
+
+    def __init__(self, name: str, passed: bool, detail: str, error: BasedivError | None = None):
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "detail", detail)
+        _set(self, "error", error)
 
     @property
     def structural(self) -> bool:
@@ -88,21 +136,22 @@ def _raise_first(checks: list[ContextCheck]) -> None:
 
 def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextCheck]:
     checks = []
+    shown = "[" + ", ".join(map(show_int, d)) + "]"
     if vec_is_zero(d):
-        return [ContextCheck(f"{label}-nonzero", False, f"declared ped {list(d)} is the zero vector")]
+        return [ContextCheck(f"{label}-nonzero", False, f"declared ped {shown} is the zero vector")]
     qd = square(lat, d)
     checks.append(
         ContextCheck(
             f"{label}-negative-square",
             qd < 0,
-            f"q({list(d)}) = {qd}" + ("" if qd < 0 else " but a prime-exceptional class needs q < 0"),
+            f"q({shown}) = {show_int(qd)}" + ("" if qd < 0 else " but a prime-exceptional class needs q < 0"),
         )
     )
     checks.append(
         ContextCheck(
             f"{label}-primitive",
             math.gcd(*d) == 1,
-            f"gcd of coordinates is {math.gcd(*d)}",
+            f"gcd of coordinates is {show_int(math.gcd(*d))}",
         )
     )
     pa = pairing(lat, ample, d)
@@ -110,16 +159,17 @@ def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextChec
         ContextCheck(
             f"{label}-ample-pairing",
             pa > 0,
-            f"(ample, {list(d)}) = {pa}" + ("" if pa > 0 else " but effective classes must pair positively with an ample class"),
+            f"(ample, {shown}) = {show_int(pa)}"
+            + ("" if pa > 0 else " but effective classes must pair positively with an ample class"),
         )
     )
     if qd < 0:
         dv = divisibility(lat, d)
         ok = (2 * dv) % qd == 0
-        detail = f"q(D) = {qd}, div(D) = {dv}"
+        detail = f"q(D) = {show_int(qd)}, div(D) = {show_int(dv)}"
         if not ok:
             detail += (
-                f": {qd} does not divide {2 * dv}; the prime-exceptional divisibility"
+                f": {show_int(qd)} does not divide {show_int(2 * dv)}; the prime-exceptional divisibility"
                 " condition q(D) | 2*div(D) fails"
             )
         checks.append(ContextCheck(f"{label}-divisibility", ok, detail))
@@ -143,7 +193,7 @@ def run_context_checks(
         ContextCheck(
             "ample-positive-square",
             qh > 0,
-            f"q(ample) = {qh}" + ("" if qh > 0 else " but the ample class must have q > 0"),
+            f"q(ample) = {show_int(qh)}" + ("" if qh > 0 else " but the ample class must have q > 0"),
         )
     )
     for i, raw in enumerate(_attempt(checks, "peds", lambda: as_array(peds, "peds")) or ()):
@@ -270,16 +320,18 @@ def validate_context_payload(data) -> tuple[GeometricContext | None, list[Contex
 # ---------------------------------------------------------------------------
 # reflections
 
-@dataclass(frozen=True)
-class ReflectionTrace:
+class ReflectionTrace(_Record):
     """Result of a reflection walk plus the certificate to rebuild the input.
 
     The walked class equals ``result + sum(a_i * D_i)`` with every a_i a
     positive integer.
     """
 
-    result: Vec
-    steps: tuple[tuple[Vec, int], ...] = field(default_factory=tuple)
+    __slots__ = ("result", "steps")
+
+    def __init__(self, result: Vec, steps: tuple[tuple[Vec, int], ...] = ()):
+        _set(self, "result", result)
+        _set(self, "steps", steps)
 
     def reconstruction(self) -> Vec:
         """The original class implied by result and steps."""

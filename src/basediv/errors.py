@@ -5,6 +5,8 @@ malformed declared data) map to exit code 2, everything else that a
 user can trigger maps to exit code 1.
 """
 
+import sys
+
 
 class BasedivError(Exception):
     """Base class for all errors raised by this package."""
@@ -38,3 +40,19 @@ class ConsistencyError(BasedivError):
     """An invariant that should hold for valid declared data failed at
     runtime; the inputs are mutually inconsistent, or a result that must
     be an integer is not."""
+
+
+def show_int(x: int) -> str:
+    """str(x), or its sign and digit count when str() would refuse x for
+    having more than sys.get_int_max_str_digits() digits, so that a
+    diagnostic can always be formatted."""
+    limit = sys.get_int_max_str_digits()
+    n = abs(x)
+    if not limit or n.bit_length() <= 3 * limit:  # n < 8**limit has at most limit digits
+        return str(x)
+    digits = (n.bit_length() - 1) * 30102999 // 10**8 + 1  # 2**(b-1) <= n; log10(2) > 0.30102999
+    while n >= 10**digits:
+        digits += 1
+    if digits <= limit:
+        return str(x)
+    return f"{'-' if x < 0 else ''}<integer of {digits} digits>"

@@ -16,8 +16,8 @@ later basis vectors once per value of q(prefix) - target and shares them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import CapabilityError, DomainError, StructuralError
 

@@ -9,8 +9,8 @@ capability guards keep the sweeps at desk scale.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from itertools import product
-from typing import Iterable
 
 from .classifier import Decomposition
 from .cones import GeometricContext

@@ -8,18 +8,21 @@ a degree-n polynomial in q(L) with closed forms
 
 where C( , n) is the generalized binomial, i.e. the degree-n polynomial
 x(x-1)...(x-n+1)/n! (valid for small and negative tops).  The polynomials
-are expanded once into integer numerators over one common denominator;
-evaluation is Horner's rule in integers followed by one exact division, and
-monotonicity certification and binomial inversion stay in exact arithmetic.
+are expanded once into integer numerators over one common denominator, and
+that pair is the whole state: the registered families are built from it
+directly, evaluation is Horner's rule in integers followed by one exact
+division, and monotonicity certification and binomial inversion stay in
+exact arithmetic.  Fractions are made on demand, only where a rational is
+parsed or shown, so a command on a registered type never imports
+``fractions`` and ``decimal`` (about 3 ms of start-up on a 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
-from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError
+from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError, show_int
 from .lattice import as_array
 
 K3N = "K3n"
@@ -42,28 +45,48 @@ _UNSET = object()
 class RRPolynomial:
     """Polynomial sum b_i x^i with exact rational coefficients, b_n > 0.
 
-    ``coeffs`` holds the b_i as Fractions.  ``nums`` and ``den`` hold the same
-    polynomial as integer numerators over their least common denominator,
-    which is what evaluation uses.  ``root_bound`` is an integer B >= 0 such
-    that the step p(q + 2) - p(q) is positive for every real q > B.
+    The state is ``nums`` and ``den``: the b_i as integer numerators over
+    their least common denominator, which is what evaluation uses.
+    ``coeffs`` makes the b_i as Fractions on demand.  ``root_bound`` is an
+    integer B >= 0 such that the step p(q + 2) - p(q) is positive for every
+    real q > B.
     """
 
-    __slots__ = ("coeffs", "nums", "den", "root_bound")
+    __slots__ = ("nums", "den", "root_bound")
 
     def __init__(self, coeffs: Iterable):
+        from fractions import Fraction
         cs = tuple(Fraction(c) for c in coeffs)
         if not cs:
             raise DomainError("coefficient vector must be nonempty")
         if cs[-1] <= 0:
-            raise DomainError(f"leading coefficient must be positive, got {cs[-1]}")
-        self.coeffs = cs
+            lead = cs[-1]
+            shown = show_int(lead.numerator) + ("" if lead.denominator == 1 else f"/{show_int(lead.denominator)}")
+            raise DomainError(f"leading coefficient must be positive, got {shown}")
         self.den = math.lcm(*(c.denominator for c in cs))
         self.nums = tuple(c.numerator * (self.den // c.denominator) for c in cs)
         self.root_bound = _step_root_bound(self.nums)
 
+    @classmethod
+    def _over(cls, nums: Sequence[int], den: int) -> "RRPolynomial":
+        """The polynomial sum (nums[i] / den) x^i, with nums[-1] / den > 0,
+        stored in lowest terms as __init__ stores it."""
+        g = math.gcd(den, *nums)
+        rr = cls.__new__(cls)
+        rr.den = den // g
+        rr.nums = tuple(c // g for c in nums)
+        rr.root_bound = _step_root_bound(rr.nums)
+        return rr
+
+    @property
+    def coeffs(self) -> tuple:
+        """The b_i as Fractions."""
+        from fractions import Fraction
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def numerator(self, x: int) -> int:
         """den * p(x), by Horner's rule on the integer numerators."""
@@ -72,14 +95,16 @@ class RRPolynomial:
             acc = acc * x + c
         return acc
 
-    def __call__(self, x: int) -> Fraction:
+    def __call__(self, x: int):
+        """p(x) as a Fraction."""
+        from fractions import Fraction
         return Fraction(self.numerator(x), self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RRPolynomial) and self.coeffs == other.coeffs
+        return isinstance(other, RRPolynomial) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"RRPolynomial({[str(c) for c in self.coeffs]})"
@@ -117,14 +142,14 @@ def _step_root_bound(nums: Sequence[int]) -> int:
 class DeformationType:
     """Registry entry: a kind tag, the half-dimension n, and the RR polynomial.
 
-    The Fujiki constant is informational; when not supplied it is derived
-    from the leading coefficient via C_X = (2n)! * b_n.  The only other
-    state is the monotonicity verdict for the whole even grid, a pure
-    function of the polynomial that ``check_strict_monotonic`` writes once,
-    the first time it is asked about a q_max at or beyond the horizon.
+    The Fujiki constant is informational, a Fraction; when not supplied it
+    is derived on demand from the leading coefficient via C_X = (2n)! * b_n.
+    The only other state is the monotonicity verdict for the whole even grid,
+    a pure function of the polynomial that ``check_strict_monotonic`` writes
+    once, the first time it is asked about a q_max at or beyond the horizon.
     """
 
-    __slots__ = ("kind", "n", "rr", "fujiki", "_verdict")
+    __slots__ = ("kind", "n", "rr", "_fujiki", "_verdict")
 
     def __init__(self, kind: str, n: int, rr: RRPolynomial, fujiki=None):
         if kind not in _KINDS:
@@ -133,17 +158,24 @@ class DeformationType:
             raise DomainError("half-dimension n must be a positive integer")
         if rr.degree != n:
             raise DomainError(f"RR polynomial must have degree exactly n={n}, got degree {rr.degree}")
-        if fujiki is None:
-            fujiki = math.factorial(2 * n) * rr.coeffs[-1]
-        else:
+        if fujiki is not None:
+            from fractions import Fraction
             fujiki = Fraction(fujiki)
             if fujiki <= 0:
                 raise DomainError("Fujiki constant must be positive")
         self.kind = kind
         self.n = n
         self.rr = rr
-        self.fujiki = fujiki
+        self._fujiki = fujiki
         self._verdict = _UNSET
+
+    @property
+    def fujiki(self):
+        """The Fujiki constant as a Fraction."""
+        if self._fujiki is not None:
+            return self._fujiki
+        from fractions import Fraction
+        return Fraction(math.factorial(2 * self.n) * self.rr.nums[-1], self.rr.den)
 
     def __repr__(self) -> str:
         return f"DeformationType({self.kind}, n={self.n})"
@@ -200,8 +232,7 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) ->
         shift, factor = n, n + 1
     else:
         raise DomainError(f"unknown deformation kind {kind!r}")
-    den = 2**n * math.factorial(n)
-    rr = RRPolynomial(Fraction(factor * c, den) for c in _half_q_binomial(shift, n))
+    rr = RRPolynomial._over([factor * c for c in _half_q_binomial(shift, n)], 2**n * math.factorial(n))
     t = DeformationType(kind, n, rr, fujiki)
     if fujiki is None:
         _registry[key] = t
@@ -225,8 +256,9 @@ def _value(rr: RRPolynomial, q: int) -> int:
     num = rr.numerator(q)
     val, rem = divmod(num, rr.den)
     if rem:
+        g = math.gcd(num, rr.den)
         raise ConsistencyError(
-            f"RR value at q={q} is {Fraction(num, rr.den)}, not an integer;"
+            f"RR value at q={show_int(q)} is {show_int(num // g)}/{show_int(rr.den // g)}, not an integer;"
             " the coefficient vector is malformed"
         )
     return val
@@ -324,7 +356,9 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
     return make_type(kind, n)
 
 
-def _fraction(c, path: str) -> Fraction:
+def _fraction(c, path: str):
+    """c as a Fraction; c is a JSON number or a string such as "5/4"."""
+    from fractions import Fraction
     text = str(c)
     # Fraction expands the exponent: 10**(10**6) takes 0.24 s, 10**(10**7) 12 s on a 2-vCPU Xeon
     exponent = text.lower().partition("e")[2].lstrip("+-0")

@@ -1,9 +1,12 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import basediv.classifier
 from basediv import (
+    ContextCheck,
     Decomposition,
     DomainError,
     GENERIC,
@@ -13,6 +16,8 @@ from basediv import (
     KUMN,
     Lattice,
     NumericalNLType,
+    ReflectionTrace,
+    StructuralError,
     check_2H,
     classification_report,
     classify,
@@ -122,6 +127,76 @@ def test_verify_decomposition_and_tampering(k3_pencil):
     assert not verify_decomposition(k3_pencil, (3, 1), Decomposition(dec.m, dec.L, dec.F, 2))
     assert not verify_decomposition(k3_pencil, (3, 1), Decomposition(dec.m, (0, 1), dec.F, dec.d))
     assert not verify_decomposition(k3_pencil, (3, 1), Decomposition(dec.m, dec.L, (1, 0), dec.d))
+
+
+def test_verify_decomposition_returns_false_only_on_library_errors(k3_pencil, monkeypatch):
+    dec = classify(k3_pencil, (3, 1))
+
+    def raising(error):
+        def rr_eval(*args, **kwargs):
+            raise error
+
+        return rr_eval
+
+    monkeypatch.setattr(basediv.classifier, "rr_eval", raising(DomainError("refused")))
+    assert verify_decomposition(k3_pencil, (3, 1), dec) is False
+    monkeypatch.setattr(basediv.classifier, "rr_eval", raising(RuntimeError("a bug")))
+    with pytest.raises(RuntimeError, match="a bug"):
+        verify_decomposition(k3_pencil, (3, 1), dec)
+
+
+@pytest.mark.parametrize(
+    "record, same, other, text",
+    [
+        (Decomposition(m=3, L=(1, 0), F=(0, 1), d=1), Decomposition(3, (1, 0), (0, 1), 1),
+         Decomposition(3, (1, 0), (0, 1), 2), "Decomposition(m=3, L=(1, 0), F=(0, 1), d=1)"),
+        (NumericalNLType(m=2, d=1, qF=-2), NumericalNLType(2, 1, -2), NumericalNLType(2, 1, -4),
+         "NumericalNLType(m=2, d=1, qF=-2)"),
+        (ContextCheck("schema", False, "bad", StructuralError("bad")), ContextCheck("schema", False, "bad"),
+         ContextCheck("schema", True, "bad"), "ContextCheck(name='schema', passed=False, detail='bad')"),
+        (ReflectionTrace(result=(1, 0), steps=(((-1, 1), 1),)), ReflectionTrace((1, 0), (((-1, 1), 1),)),
+         ReflectionTrace((1, 0)), "ReflectionTrace(result=(1, 0), steps=(((-1, 1), 1),))"),
+    ],
+    ids=["Decomposition", "NumericalNLType", "ContextCheck", "ReflectionTrace"],
+)
+def test_records_compare_hash_and_print_by_their_fields(record, same, other, text):
+    fields = type(record).__slots__
+    assert record == same and hash(record) == hash(same)
+    assert record != other and {record, same, other} == {record, other}
+    # a record never equals a plain tuple of its fields
+    assert record != tuple(getattr(record, f) for f in fields)
+    assert record != tuple(getattr(record, f) for f in fields if f != "error")
+    assert repr(record) == text
+    assert pickle.loads(pickle.dumps(record)) == record
+    for f in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, f, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, f)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+
+
+def test_context_check_error_is_ignored_by_eq_hash_and_repr():
+    check = ContextCheck("schema", False, "bad", StructuralError("bad"))
+    plain = ContextCheck("schema", False, "bad")
+    assert check == plain and hash(check) == hash(plain) and repr(check) == repr(plain)
+    assert check.structural and not plain.structural
+    assert ReflectionTrace((1, 0)).steps == ()
+
+
+def test_classification_report_certifies_once(k3_pencil, monkeypatch):
+    calls = {"rr_eval": 0, "check_strict_monotonic": 0, "square": 0}
+    for name in calls:
+        original = getattr(basediv.classifier, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(basediv.classifier, name, counted)
+    classification_report(k3_pencil, (3, 1))
+    assert calls == {"rr_eval": 1, "check_strict_monotonic": 1, "square": 0}
 
 
 def test_check_2h(k3_pencil):

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from basediv.cli import main
 
@@ -212,3 +216,44 @@ def test_validate_context_structural_failure_is_exit_two(capsys, tmp_path):
     code, out, _ = run(capsys, "validate-context", "--input", str(bad))
     assert code == 2
     assert "context invalid" in out
+
+
+# Run with -S so that the host's site module cannot load typing first.
+COLD_START = """
+import io, json, sys
+import basediv.cli
+heavy = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+at_import = [m for m in heavy if m in sys.modules]
+codes = []
+for argv in json.loads(sys.argv[1]):
+    sys.stdout = io.StringIO()
+    try:
+        codes.append(basediv.cli.main(argv))
+    finally:
+        sys.stdout = sys.__stdout__
+print(json.dumps([at_import, [m for m in ("fractions", "decimal") if m in sys.modules], codes]))
+"""
+
+
+def test_cold_start_imports_no_dataclasses_typing_or_fractions():
+    k3n2 = str(fixture_path("k3n2_rank3.json"))
+    commands = []
+    for fmt in ("text", "json"):
+        commands += [
+            ["classify", "--input", PENCIL, "--class", "3,1", "--format", fmt],
+            ["classify", "--input", k3n2, "--class", "2,3,0", "--format", fmt],
+            ["reflect-bk", "--input", k3n2, "--class", "1,0,0", "--format", fmt],
+            ["validate-context", "--input", k3n2, "--format", fmt],
+            ["rr-eval", "--input", k3n2, "--q", "4", "--format", fmt],
+            ["nl-types", "--input", PENCIL, "--qh", "4", "--format", fmt],
+        ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COLD_START, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, after_commands, codes = json.loads(proc.stdout)
+    assert at_import == []
+    assert after_commands == []
+    assert codes == [0] * len(commands)

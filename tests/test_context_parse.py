@@ -6,6 +6,7 @@ import contextlib
 import copy
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from basediv import (
     validate_context_payload,
 )
 from basediv.cli import main
+from basediv.errors import show_int
 from basediv.riemann_roch import HALF_DIM_LIMIT
 
 from conftest import fixture_path
@@ -59,9 +61,9 @@ CASES = [
     ("coeffs-int", generic(7), 2, "deformation.coeffs must be an array", True),
     ("coeffs-word", generic(["x", "1"]), 2, "deformation.coeffs[0] must be a rational number", True),
     ("coeffs-zero-denominator", generic(["1/0", "1"]), 2, "deformation.coeffs[0] must be a rational number", True),
-    ("coeffs-5001-digits", generic(["1", "-1e5000"]), 1, "cannot print an integer of more than", True),
+    ("coeffs-5001-digits", generic(["1", "-1e5000"]), 1, "leading coefficient must be positive, got -<integer of 5001 digits>", True),
     ("coeffs-exponent-8-digits", generic(["1", "1e99999999"]), 1, "deformation.coeffs[1] has a decimal exponent", True),
-    ("ample-square-4401-digits", edited(lambda d: d.update(ample=HUGE_AMPLE)), 1, "cannot print an integer of more than", False),
+    ("ample-square-4401-digits", edited(lambda d: d.update(ample=HUGE_AMPLE)), 1, "(ample, [0, 1]) = 0 but effective classes", False),
     ("kind-og6", deformation("OG6", 3), 1, "unknown deformation kind 'OG6'", False),
     ("kumn-1", deformation("Kumn", 1), 1, "Kumn requires n >= 2", False),
     ("k3n-0", deformation("K3n", 0), 1, "K3n requires n >= 1", False),
@@ -91,6 +93,22 @@ def test_malformed_context_is_refused(tmp_path, contents, code, needle, rr):
         assert err.startswith("error:") or failed, (command, out, err)
         assert needle in (err if err else "\n".join(failed)), (command, out, err)
         assert "malformed input" not in err and "Traceback" not in err + out
+
+
+def test_over_long_integer_in_a_check_detail_is_abbreviated():
+    ctx, checks = validate_context_payload(dict(PENCIL, ample=HUGE_AMPLE))
+    assert ctx is None
+    details = {c.name: c.detail for c in checks}
+    assert details["ample-positive-square"] == "q(ample) = <integer of 4401 digits>"
+    assert details["ped[0]-ample-pairing"].startswith("(ample, [0, 1]) = 0 but")
+
+
+def test_show_int_abbreviates_only_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for x in (0, -7, 10 ** (limit - 1), 10**limit - 1, -(10**limit - 1)):
+        assert show_int(x) == str(x)
+    assert show_int(10**limit) == f"<integer of {limit + 1} digits>"
+    assert show_int(-(10 ** (3 * limit))) == f"-<integer of {3 * limit + 1} digits>"
 
 
 def test_half_dimension_guard_comes_before_expansion():

@@ -246,6 +246,38 @@ def test_fujiki_constants():
         make_type(K3N, 2, fujiki=-1)
 
 
+def fraction_expansion(factor: int, shift: int, n: int) -> tuple:
+    """Coefficients in q of factor * C(q/2 + shift, n), multiplied out in Fractions."""
+    poly = [Fraction(factor)]
+    for j in range(n):  # times (q/2 + shift - j) / (j + 1)
+        poly = [(a * (shift - j) + b / 2) / (j + 1) for a, b in zip(poly + [Fraction(0)], [Fraction(0)] + poly)]
+    return tuple(poly)
+
+
+def test_coeffs_and_fujiki_are_fractions_equal_to_the_expansion():
+    types = [(make_type(K3N, n), fraction_expansion(1, n + 1, n)) for n in range(1, 7)]
+    types += [(make_type(KUMN, n), fraction_expansion(n + 1, n, n)) for n in range(2, 7)]
+    types.append((make_type(GENERIC, 2, coeffs=["3", "5/4", Fraction(1, 8)]), (3, Fraction(5, 4), Fraction(1, 8))))
+    for t, coeffs in types:
+        assert t.rr.coeffs == coeffs
+        assert all(type(c) is Fraction for c in t.rr.coeffs)
+        # the integer state is in lowest terms, as parsing the Fractions gives it
+        assert RRPolynomial(coeffs) == t.rr and hash(RRPolynomial(coeffs)) == hash(t.rr)
+        assert t.rr.degree == t.n
+        assert type(t.fujiki) is Fraction
+        assert t.fujiki == math.factorial(2 * t.n) * coeffs[-1]
+    assert make_type(K3N, 3).fujiki == 15 and make_type(KUMN, 3).fujiki == 60
+    assert make_type(GENERIC, 1, coeffs=[0, 1], fujiki="5/2").fujiki == Fraction(5, 2)
+    assert repr(make_type(K3N, 2).rr) == "RRPolynomial(['3', '5/4', '1/8'])"
+
+
+def test_over_long_leading_coefficient_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"^leading coefficient must be positive, got -<integer of 5001 digits>$"):
+        make_type(GENERIC, 1, coeffs=[1, -(10**5000)])
+    with pytest.raises(DomainError, match=r"^leading coefficient must be positive, got -3/2$"):
+        make_type(GENERIC, 1, coeffs=[1, Fraction(-3, 2)])
+
+
 def test_json_round_trip():
     t = make_type(K3N, 2)
     data = t.to_json_dict()
