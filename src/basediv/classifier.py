@@ -5,10 +5,13 @@ H = m*L + F with m >= 2, L a primitive isotropic movable class, F a declared
 prime-exceptional class with (L, F) > 0, and chi = RR(q(H)) equal to the
 binomial C(m+n, n).  Because the RR polynomial is certified strictly
 monotonic, chi pins m uniquely (by inverting the binomial) before any
-search happens; what remains is a linear scan over the declared peds.  L is
-isotropic iff q(H) - 2(H, F) + q(F) = 0, tested on scalars first; only then
-is L = (H - F)/m built and checked for integrality, primitivity, (L, F) > 0
-and membership in the declared birational-Kaehler closure (movability).
+search happens; what remains is a linear scan over the declared peds.  The
+nef check leaves the row of pairings (H, D) over the peds, and since
+H - F = m*L every pairing (L, x) = ((H, x) - (F, x))/m is read from it: L is
+isotropic iff q(H) - 2(H, F) + q(F) = 0, tested first; only then is
+L = (H - F)/m built and checked for integrality and primitivity, and
+(L, F) > 0 and membership in the declared birational-Kaehler closure
+(movability) are compared on scalars.
 
 The classifier refuses to run unless the context certifies its hypotheses:
 ``strong_rlf`` must be declared and the RR polynomial must be strictly
@@ -22,8 +25,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .cones import GeometricContext, _in_closure, _Record, _set, in_bk_closure
-from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError
+from .cones import GeometricContext, _Record, _set, in_bk_closure
+from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError, show_int, show_vec
 from .lattice import (
     Vec,
     divisibility,
@@ -84,23 +87,24 @@ class NumericalNLType(_Record):
         return {"m": self.m, "d": self.d, "q_F": self.qF}
 
 
-def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int]:
+def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, list[int]]:
     """Check q(H) > 0, (H, ample) > 0 and (H, D) >= 0 against declared data,
-    for a checked vector h_vec."""
+    for a checked vector h_vec; return q(H), (H, ample) and the row of
+    pairings (H, D_i) over the declared peds (walls are checked, not kept)."""
     g_h = gram_image(ctx.lat, h_vec)
     q_h = dot(h_vec, g_h)
     if q_h <= 0:
-        raise DomainError(f"H is not big: q(H) = {q_h} must be positive")
+        raise DomainError(f"H is not big: q(H) = {show_int(q_h)} must be positive")
     p_h = dot(g_h, ctx.ample)
     if p_h <= 0:
-        raise DomainError(f"(H, ample) = {p_h} must be positive")
-    for d in ctx.peds + ctx.walls:
-        p = dot(g_h, d)
+        raise DomainError(f"(H, ample) = {show_int(p_h)} must be positive")
+    row = [dot(g_h, d) for d in ctx.peds]
+    for d, p in zip(ctx.peds + ctx.walls, row + [dot(g_h, w) for w in ctx.walls]):
         if p < 0:
             raise DomainError(
-                f"H is not nef against the declared classes: (H, {list(d)}) = {p} < 0"
+                f"H is not nef against the declared classes: (H, {show_vec(d)}) = {show_int(p)} < 0"
             )
-    return q_h, p_h
+    return q_h, p_h, row
 
 
 def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
@@ -127,10 +131,10 @@ def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decompositio
     """q(H), chi = RR(q(H)) and the decomposition (or None) of a checked class
     h_vec, on a context that meets the hypotheses; the one classify run
     behind classify and classification_report."""
-    q_h, _ = _require_big_nef(ctx, h_vec)
+    q_h, p_h, row = _require_big_nef(ctx, h_vec)
     if not check_strict_monotonic(ctx.dtype, q_h):
         raise HypothesisError(
-            f"RR polynomial of {ctx.dtype!r} is not strictly monotonic up to q(H) = {q_h};"
+            f"RR polynomial of {ctx.dtype!r} is not strictly monotonic up to q(H) = {show_int(q_h)};"
             " refusing to classify"
         )
     n = ctx.dtype.n
@@ -141,8 +145,9 @@ def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decompositio
     if m is None or m < 2:
         return q_h, chi, None
     matches: list[Decomposition] = []
-    for f_vec, g_f, q_f in zip(ctx.peds, ctx.g_peds, ctx.q_peds):
-        if q_h - 2 * dot(h_vec, g_f) + q_f != 0:
+    # H - F = m*L, so (L, x) = ((H, x) - (F, x))/m: every test reads the row
+    for f_vec, q_f, h_f in zip(ctx.peds, ctx.q_peds, row):
+        if q_h - 2 * h_f + q_f != 0:  # m^2 q(L)
             continue
         diff = vec_sub(h_vec, f_vec)
         if vec_is_zero(diff) or any(c % m != 0 for c in diff):
@@ -150,10 +155,12 @@ def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decompositio
         l_vec = tuple(c // m for c in diff)
         if math.gcd(*l_vec) != 1:
             continue
-        d = dot(l_vec, g_f)
+        d = (h_f - q_f) // m
         if d <= 0:
             continue
-        if not _in_closure(ctx, l_vec):
+        # L is isotropic and nonzero, so it lies in the closure iff (L, ample) > 0
+        # and (L, D) >= 0 for every declared ped D
+        if dot(f_vec, ctx.g_ample) >= p_h or any(dot(f_vec, g) > h_d for g, h_d in zip(ctx.g_peds, row)):
             continue
         dec = Decomposition(m, l_vec, f_vec, d)
         if dec not in matches:
@@ -161,7 +168,7 @@ def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decompositio
     if len(matches) > 1:
         raise ConsistencyError(
             f"declared context admits {len(matches)} distinct decompositions of"
-            f" {list(h_vec)}; the fixed divisor must be unique, so the declared"
+            f" {show_vec(h_vec)}; the fixed divisor must be unique, so the declared"
             " ped data is inconsistent"
         )
     return q_h, chi, matches[0] if matches else None

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError, show_int
+from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError, show_int, show_vec
 from .lattice import (
     Lattice,
     Vec,
@@ -136,7 +136,7 @@ def _raise_first(checks: list[ContextCheck]) -> None:
 
 def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextCheck]:
     checks = []
-    shown = "[" + ", ".join(map(show_int, d)) + "]"
+    shown = show_vec(d)
     if vec_is_zero(d):
         return [ContextCheck(f"{label}-nonzero", False, f"declared ped {shown} is the zero vector")]
     qd = square(lat, d)
@@ -360,12 +360,12 @@ def reflect(ctx: GeometricContext, d: Iterable[int], alpha: Iterable[int]) -> Ve
     av = lat.vector(alpha)
     qd = square(lat, dv)
     if qd >= 0:
-        raise DomainError(f"reflection root must have q < 0; q({list(dv)}) = {qd}")
+        raise DomainError(f"reflection root must have q < 0; q({show_vec(dv)}) = {show_int(qd)}")
     num = 2 * pairing(lat, dv, av)
     if num % qd != 0:
         raise IntegralityError(
-            f"2(d, alpha) = {num} is not divisible by q(d) = {qd};"
-            f" {list(dv)} is not a valid integral reflection root for {list(av)}"
+            f"2(d, alpha) = {show_int(num)} is not divisible by q(d) = {show_int(qd)};"
+            f" {show_vec(dv)} is not a valid integral reflection root for {show_vec(av)}"
         )
     s = num // qd
     return vec_sub(av, vec_scale(s, dv))
@@ -386,14 +386,14 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
         raise DomainError("cannot walk the zero class")
     qa = dot(current, gram_image(ctx.lat, current))
     if qa < 0:
-        raise DomainError(f"q(alpha) = {qa} must be nonnegative (closed positive cone)")
+        raise DomainError(f"q(alpha) = {show_int(qa)} must be nonnegative (closed positive cone)")
     height = dot(current, ctx.g_ample)
     if height <= 0:
-        raise DomainError(f"(alpha, ample) = {height} must be positive")
+        raise DomainError(f"(alpha, ample) = {show_int(height)} must be positive")
     budget = height
     steps: list[tuple[Vec, int]] = []
     while True:
-        for violated, g_d in zip(ctx.peds, ctx.g_peds):
+        for violated, g_d, qd in zip(ctx.peds, ctx.g_peds, ctx.q_peds):
             p = dot(current, g_d)
             if p < 0:
                 break
@@ -404,27 +404,26 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
                 "reflection walk exceeded its iteration budget (alpha, ample);"
                 " the declared context data is inconsistent"
             )
-        qd = dot(violated, g_d)
         num = 2 * p
         if num % qd != 0:
             raise ConsistencyError(
-                f"declared ped {list(violated)} produced a non-integral reflection scalar"
+                f"declared ped {show_vec(violated)} produced a non-integral reflection scalar"
             )
         a = num // qd
         nxt = vec_sub(current, vec_scale(a, violated))
         new_height = dot(nxt, ctx.g_ample)
         if not (0 < new_height < height):
             raise ConsistencyError(
-                f"descent failed: (alpha, ample) went {height} -> {new_height};"
+                f"descent failed: (alpha, ample) went {show_int(height)} -> {show_int(new_height)};"
                 " the declared context data is inconsistent"
             )
         steps.append((violated, a))
         current = nxt
         height = new_height
-    trace = ReflectionTrace(result=current, steps=tuple(steps))
-    if not _in_closure(ctx, current):
+    # the exit scan has found (current, D) >= 0 for every ped: only the cone half is left
+    if not _in_cone(ctx, current, closed=True):
         raise ConsistencyError("walk terminated outside the declared BK closure")
-    return trace
+    return ReflectionTrace(result=current, steps=tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +451,7 @@ def in_bk_closure(ctx: GeometricContext, alpha: Iterable[int], include_walls: bo
     nonnegative pairing with the declared walls (a finer chamber condition
     than the closure itself).
     """
-    return _in_closure(ctx, ctx.lat.vector(alpha), include_walls)
-
-
-def _in_closure(ctx: GeometricContext, a: Vec, include_walls: bool = False) -> bool:
-    """in_bk_closure for a checked vector a."""
+    a = ctx.lat.vector(alpha)
     if not _in_cone(ctx, a, closed=True):
         return False
     cutters = ctx.g_peds + ctx.g_walls if include_walls else ctx.g_peds
@@ -474,7 +469,7 @@ def ped_inequality_check(lat: Lattice, d: Iterable[int]) -> bool:
         raise DomainError("the zero vector cannot be a prime-exceptional class")
     qd = square(lat, dv)
     if qd >= 0:
-        raise DomainError(f"prime-exceptional candidates need q < 0; q({list(dv)}) = {qd}")
+        raise DomainError(f"prime-exceptional candidates need q < 0; q({show_vec(dv)}) = {show_int(qd)}")
     return (2 * divisibility(lat, dv)) % qd == 0
 
 

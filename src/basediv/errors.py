@@ -56,3 +56,19 @@ def show_int(x: int) -> str:
     if digits <= limit:
         return str(x)
     return f"{'-' if x < 0 else ''}<integer of {digits} digits>"
+
+
+def show_vec(v) -> str:
+    """str(list(v)) for an integer vector v, each entry shown by show_int."""
+    return "[" + ", ".join(map(show_int, v)) + "]"
+
+
+def show_value(x) -> str:
+    """repr(x) for a diagnostic: show_int for an int, and the type's name when
+    repr refuses a long integer inside x."""
+    if type(x) is int:
+        return show_int(x)
+    try:
+        return repr(x)
+    except ValueError:
+        return f"<{type(x).__name__} holding an integer too long to print>"

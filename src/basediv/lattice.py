@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-from .errors import CapabilityError, DomainError, StructuralError
+from .errors import CapabilityError, DomainError, StructuralError, show_value
 
 Vec = tuple[int, ...]
 
@@ -30,17 +30,19 @@ ENUM_PREFIX_LIMIT = 10**6
 # ... and returns at most this many vectors (a degenerate row solves for a whole range).
 ENUM_OUTPUT_LIMIT = 10**6
 
+_INT = frozenset((int,))
+
 
 def _as_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise StructuralError(f"expected an integer entry, got {x!r}")
+        raise StructuralError(f"expected an integer entry, got {show_value(x)}")
     return x
 
 
 def as_array(value, path: str):
     """value, if it is a JSON array (or a tuple); else a StructuralError naming its path."""
     if not isinstance(value, (list, tuple)):
-        raise StructuralError(f"{path} must be an array, got {value!r}")
+        raise StructuralError(f"{path} must be an array, got {show_value(value)}")
     return value
 
 
@@ -80,7 +82,10 @@ class Lattice:
 
     def vector(self, coords: Iterable[int]) -> Vec:
         """Validate and normalize a coordinate vector for this lattice."""
-        v = tuple(_as_int(c) for c in coords)
+        if type(coords) is tuple and _INT.issuperset(map(type, coords)):
+            v = coords  # a tuple of plain ints, checked in one pass at C level
+        else:
+            v = tuple(_as_int(c) for c in coords)
         if len(v) != self.rank:
             raise StructuralError(f"vector length {len(v)} does not match lattice rank {self.rank}")
         return v

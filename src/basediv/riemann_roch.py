@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError, show_int
+from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError, show_int, show_value
 from .lattice import as_array
 
 K3N = "K3n"
@@ -344,7 +344,7 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
     kind = data["kind"]
     n = data["n"]
     if not isinstance(kind, str):
-        raise StructuralError(f'deformation "kind" must be a string, got {kind!r}')
+        raise StructuralError(f'deformation "kind" must be a string, got {show_value(kind)}')
     if isinstance(n, bool) or not isinstance(n, int):
         raise StructuralError('deformation "n" must be an integer')
     if kind == GENERIC:
@@ -359,12 +359,14 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
 def _fraction(c, path: str):
     """c as a Fraction; c is a JSON number or a string such as "5/4"."""
     from fractions import Fraction
-    text = str(c)
-    # Fraction expands the exponent: 10**(10**6) takes 0.24 s, 10**(10**7) 12 s on a 2-vCPU Xeon
-    exponent = text.lower().partition("e")[2].lstrip("+-0")
-    if exponent.isdecimal() and len(exponent) > 4:
-        raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {c!r}")
+    if type(c) is int:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
+        return Fraction(c)
     try:
+        text = str(c)
+        # Fraction expands the exponent: 10**(10**6) takes 0.24 s, 10**(10**7) 12 s on a 2-vCPU Xeon
+        exponent = text.lower().partition("e")[2].lstrip("+-0")
+        if exponent.isdecimal() and len(exponent) > 4:
+            raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {c!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise StructuralError(f"{path} must be a rational number, got {c!r}") from None
+        raise StructuralError(f"{path} must be a rational number, got {show_value(c)}") from None

@@ -1,11 +1,13 @@
+import math
 import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import basediv.classifier
 from basediv import (
+    ConsistencyError,
     ContextCheck,
     Decomposition,
     DomainError,
@@ -21,14 +23,19 @@ from basediv import (
     check_2H,
     classification_report,
     classify,
+    enumerate_vectors,
     hyperbolic_plane,
+    in_bk_closure,
     invert_binomial,
     kumn_case1_solutions,
     kumn_nonexistence_search,
     make_type,
     nl_numerical_types,
+    pairing,
     rank_one,
     rr_eval,
+    run_context_checks,
+    square,
     verify_decomposition,
 )
 
@@ -95,6 +102,105 @@ def test_non_primitive_isotropic_candidate_is_rejected():
     )
     assert rr_eval(ctx.dtype, 14) == 3 and invert_binomial(3, 1) == 2
     assert classify(ctx, (4, 4, -3)) is None
+
+
+def _generic_n1_context(gram, ample, peds, b0):
+    """A context whose RR polynomial is b0 + q/2, so that chi = m + 1 pins m
+    at q(H) = 2(m + 1 - b0)."""
+    return GeometricContext(
+        Lattice(gram), ample, peds=peds,
+        dtype=make_type(GENERIC, 1, coeffs=[b0, Fraction(1, 2)]), strong_rlf=True,
+    )
+
+
+def test_candidate_cut_by_a_second_ped_is_rejected():
+    """U + <-2>: L = (H - F)/2 = (-4, -1, -2) is primitive and isotropic with
+    d = 24 > 0, but (L, D) = -1 for the second ped D, so only the ped half of
+    the closure test rejects it (without it, m = 2)."""
+    ctx = _generic_n1_context([[0, 1, 0], [1, 0, 0], [0, 0, -2]], (-4, -4, -3), [(-4, -2, 3), (-3, -1, -2)], -44)
+    assert rr_eval(ctx.dtype, 94) == 3 and invert_binomial(3, 1) == 2
+    assert pairing(ctx.lat, (-4, -1, -2), (-3, -1, -2)) == -1
+    assert classify(ctx, (-12, -4, -1)) is None
+
+
+def test_candidate_orthogonal_to_the_ample_class_is_rejected():
+    """U + <2>: L = (H - F)/2 = (-4, 1, -2) passes every test before the
+    closure test and pairs nonnegatively with the one ped, but (L, ample) = 0,
+    so only the ample half of the closure test rejects it."""
+    ctx = _generic_n1_context([[0, 1, 0], [1, 0, 0], [0, 0, 2]], (-4, -3, 2), [(1, -2, -1)], -22)
+    assert pairing(ctx.lat, (-4, 1, -2), ctx.ample) == 0
+    assert pairing(ctx.lat, (-4, 1, -2), (1, -2, -1)) > 0
+    assert classify(ctx, (-7, 0, -5)) is None
+
+
+def reference_scan(ctx, h_vec, m):
+    """classify's verdict for a type with chi = m + 1, from the public pairing
+    and in_bk_closure; DomainError when H is not big and nef."""
+    lat = ctx.lat
+    if pairing(lat, h_vec, h_vec) <= 0 or pairing(lat, h_vec, ctx.ample) <= 0:
+        return DomainError
+    if any(pairing(lat, h_vec, d) < 0 for d in ctx.peds):
+        return DomainError
+    found = []
+    for f_vec in ctx.peds:
+        diff = tuple(a - b for a, b in zip(h_vec, f_vec))
+        if not any(diff) or any(c % m for c in diff):
+            continue
+        l_vec = tuple(c // m for c in diff)
+        if pairing(lat, l_vec, l_vec) != 0 or math.gcd(*l_vec) != 1:
+            continue
+        d = pairing(lat, l_vec, f_vec)
+        if d > 0 and in_bk_closure(ctx, l_vec) and Decomposition(m, l_vec, f_vec, d) not in found:
+            found.append(Decomposition(m, l_vec, f_vec, d))
+    if len(found) > 1:
+        return ConsistencyError
+    return found[0] if found else None
+
+
+@st.composite
+def scan_cases(draw):
+    """(gram, ample, peds, H, m): a random rank-3 or rank-4 even Gram with an
+    isotropic first basis vector, 2-4 declared peds of square -2 or -4, and
+    H = m*L + F + e for an isotropic L in a small box with (L, ample) >= 0,
+    a declared F and an offset e that is often 0."""
+    r = draw(st.sampled_from([3, 4]))
+    gram = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            x = draw(st.integers(-2, 2)) * 2 if i == j else draw(st.integers(-3, 3))
+            gram[i][j] = gram[j][i] = 0 if i == j == 0 else x
+    lat = Lattice(gram)
+    ample = tuple(draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
+    assume(square(lat, ample) > 0)
+    valid = [
+        d for q in (-2, -4) for d in enumerate_vectors(lat, q, 2)
+        if all(c.passed for c in run_context_checks(lat, ample, [d]))
+    ]
+    assume(len(valid) >= 2)
+    peds = draw(st.lists(st.sampled_from(valid), min_size=2, max_size=4))
+    # oriented towards the ample class, so that H is more often nef
+    isotropic = [v for v in enumerate_vectors(lat, 0, 2) if pairing(lat, v, ample) >= 0 and any(v)]
+    l_vec, f_vec = draw(st.sampled_from(isotropic)), draw(st.sampled_from(peds))
+    m = draw(st.integers(2, 4))
+    offset = draw(st.just((0,) * r) | st.lists(st.integers(-1, 1), min_size=r, max_size=r).map(tuple))
+    h_vec = tuple(m * l + f + e for l, f, e in zip(l_vec, f_vec, offset))
+    return gram, ample, peds, h_vec, m
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(scan_cases())
+@example(([[0, 1, 0], [1, 0, 0], [0, 0, -2]], (-4, -4, -3), [(-4, -2, 3), (-3, -1, -2)], (-12, -4, -1), 2))
+@example(([[0, 1, 0], [1, 0, 0], [0, 0, 2]], (-4, -3, 2), [(1, -2, -1)], (-7, 0, -5), 2))
+@example(([[0, 1, 0], [1, 0, 0], [0, 0, -2]], (2, 2, -1), [(0, 0, 1), (0, 1, 1)], (4, 4, -3), 2))
+def test_classify_matches_reference_scan(case):
+    gram, ample, peds, h_vec, m = case
+    q_h = square(Lattice(gram), h_vec)
+    ctx = _generic_n1_context(gram, ample, peds, m + 1 - q_h // 2)
+    try:
+        got = classify(ctx, h_vec)
+    except (DomainError, ConsistencyError) as exc:
+        got = type(exc)
+    assert got == reference_scan(ctx, h_vec, m)
 
 
 def test_classify_on_hyperbolic_plane_context():

@@ -51,7 +51,7 @@ def test_classify_domain_error_exit_code(capsys):
 
 
 def test_classify_hypothesis_error_exit_code(capsys, tmp_path):
-    data = json.loads(open(PENCIL).read())
+    data = json.loads(Path(PENCIL).read_text())
     data["strong_rlf"] = False
     path = tmp_path / "noflag.json"
     path.write_text(json.dumps(data))
@@ -69,7 +69,7 @@ def test_classify_huge_class_is_exact(capsys):
 
 
 def _with(tmp_path, edit):
-    data = json.loads(open(PENCIL).read())
+    data = json.loads(Path(PENCIL).read_text())
     edit(data)
     path = tmp_path / "ctx.json"
     path.write_text(json.dumps(data))

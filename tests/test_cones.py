@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -321,6 +322,15 @@ def test_walk_matches_reference_walk(i, coords):
     ctx = WALK_CONTEXTS[i]
     alpha = tuple(coords[: ctx.lat.rank])
     assert _outcome(reflect_into_bk, ctx, alpha) == _outcome(reference_walk, ctx, alpha)
+
+
+def test_walk_with_peds_of_two_squares_matches_reference_walk():
+    """Peds of square -4 and -2: the walk takes each q(D) from the context, so
+    a misread square changes a reflection scalar or the step's integrality."""
+    ctx = GeometricContext(direct_sum(U, rank_one(-4)), (3, 1, -1), peds=[(0, 0, 1), (-1, 1, 0)])
+    assert reflect_into_bk(ctx, (2, 2, 1)).steps == (((0, 0, 1), 2),)
+    for alpha in itertools.product(range(-3, 4), repeat=3):
+        assert _outcome(reflect_into_bk, ctx, alpha) == _outcome(reference_walk, ctx, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,16 @@ from basediv import (
     K3N,
     KUMN,
     StructuralError,
+    classify,
     make_type,
+    ped_inequality_check,
+    reflect,
+    reflect_into_bk,
     validate_context_payload,
 )
 from basediv.cli import main
 from basediv.errors import show_int
-from basediv.riemann_roch import HALF_DIM_LIMIT
+from basediv.riemann_roch import HALF_DIM_LIMIT, deformation_from_json_dict
 
 from conftest import fixture_path
 
@@ -109,6 +113,42 @@ def test_show_int_abbreviates_only_past_the_digit_limit():
         assert show_int(x) == str(x)
     assert show_int(10**limit) == f"<integer of {limit + 1} digits>"
     assert show_int(-(10 ** (3 * limit))) == f"-<integer of {3 * limit + 1} digits>"
+
+
+LONG = 10**5000
+PENCIL_CTX = GeometricContext.from_json_dict(PENCIL)
+
+
+def _first_failure(payload):
+    return next(c.detail for c in validate_context_payload(payload)[1] if not c.passed)
+
+
+@pytest.mark.parametrize(
+    "call, shown",
+    [
+        (lambda: _first_failure(dict(PENCIL, ample=LONG)), "ample must be an array, got <integer of 5001 digits>"),
+        (lambda: repr(deformation_from_json_dict({"kind": "Generic", "n": 1, "coeffs": [1, LONG]})), "DeformationType(Generic, n=1)"),
+        (lambda: classify(PENCIL_CTX, (LONG, -(10**4999))), "q(H) = -<integer of 10000 digits> must be positive"),
+        (lambda: reflect(PENCIL_CTX, (LONG, 1), (1, 0)), "q([<integer of 5001 digits>, 1]) = <integer of 5001 digits>"),
+        (lambda: ped_inequality_check(PENCIL_CTX.lat, (LONG, 1)), "q([<integer of 5001 digits>, 1]) = <integer of 5001 digits>"),
+        (lambda: reflect_into_bk(PENCIL_CTX, (-LONG, 0)), "(alpha, ample) = -<integer of 5001 digits> must be positive"),
+        (lambda: PENCIL_CTX.lat.vector([[LONG], 1]), "got <list holding an integer too long to print>"),
+        (lambda: deformation_from_json_dict({"kind": "Generic", "n": 1, "coeffs": [1, [LONG]]}), "coeffs[1] must be a rational number, got <list holding"),
+        (lambda: deformation_from_json_dict({"kind": LONG, "n": 1}), '"kind" must be a string, got <integer of 5001 digits>'),
+    ],
+    ids=[
+        "as-array", "generic-int-coefficient", "classify", "reflect", "ped-inequality", "walk",
+        "nested-entry", "nested-coefficient", "kind",
+    ],
+)
+def test_long_integers_get_typed_errors(call, shown):
+    """An integer too long for str() reaches the caller as a result or a
+    BasedivError with the integer abbreviated, never as Python's ValueError."""
+    try:
+        text = call()
+    except BasedivError as exc:
+        text = str(exc)
+    assert shown in text
 
 
 def test_half_dimension_guard_comes_before_expansion():
