@@ -99,11 +99,10 @@ def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, list[
     if p_h <= 0:
         raise DomainError(f"(H, ample) = {show_int(p_h)} must be positive")
     row = [dot(g_h, d) for d in ctx.peds]
-    for d, p in zip(ctx.peds + ctx.walls, row + [dot(g_h, w) for w in ctx.walls]):
-        if p < 0:
-            raise DomainError(
-                f"H is not nef against the declared classes: (H, {show_vec(d)}) = {show_int(p)} < 0"
-            )
+    pairings = row + [dot(g_h, w) for w in ctx.walls]
+    if min(pairings, default=0) < 0:
+        p, d = next((p, d) for p, d in zip(pairings, ctx.peds + ctx.walls) if p < 0)
+        raise DomainError(f"H is not nef against the declared classes: (H, {show_vec(d)}) = {show_int(p)} < 0")
     return q_h, p_h, row
 
 

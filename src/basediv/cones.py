@@ -410,7 +410,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
                 f"declared ped {show_vec(violated)} produced a non-integral reflection scalar"
             )
         a = num // qd
-        nxt = vec_sub(current, vec_scale(a, violated))
+        nxt = tuple([c - a * x for c, x in zip(current, violated)])
         new_height = dot(nxt, ctx.g_ample)
         if not (0 < new_height < height):
             raise ConsistencyError(

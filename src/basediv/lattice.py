@@ -160,7 +160,7 @@ def vec_scale(k: int, v: Vec) -> Vec:
 
 
 def vec_is_zero(v: Vec) -> bool:
-    return all(x == 0 for x in v)
+    return not any(v)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def dot(a: Vec, b: Vec) -> int:
 
 def gram_image(lat: Lattice, v: Vec) -> Vec:
     """G*v for a checked vector v, so that (a, v) = dot(a, G*v); no validation."""
-    return tuple(sum(map(mul, row, v)) for row in lat.gram)
+    return tuple([sum(map(mul, row, v)) for row in lat.gram])
 
 
 def pairing(lat: Lattice, a: Iterable[int], b: Iterable[int]) -> int:
