@@ -3,15 +3,13 @@
 A big-and-nef class H carries a base divisor exactly when it decomposes as
 H = m*L + F with m >= 2, L a primitive isotropic movable class, F a declared
 prime-exceptional class with (L, F) > 0, and chi = RR(q(H)) equal to the
-binomial C(m+n, n).  Because the RR polynomial is certified strictly
-monotonic, chi pins m uniquely (by inverting the binomial) before any
-search happens; what remains is a linear scan over the declared peds.  The
-nef check leaves the row of pairings (H, D) over the peds, and since
-H - F = m*L every pairing (L, x) = ((H, x) - (F, x))/m is read from it: L is
-isotropic iff q(H) - 2(H, F) + q(F) = 0, tested first; only then is
-L = (H - F)/m built and checked for integrality and primitivity, and
-(L, F) > 0 and membership in the declared birational-Kaehler closure
-(movability) are compared on scalars.
+binomial C(m+n, n).  Because L is primitive, m is the content of H - F (the
+gcd of its coordinates), confirmed by chi: C(m+n, n) is strictly increasing
+in m.  The nef check leaves the row of pairings (H, D) over the declared
+peds, and since H - F = m*L every pairing (L, x) = ((H, x) - (F, x))/m is
+read from it: L is isotropic iff q(H) - 2(H, F) + q(F) = 0, tested first for
+each ped F, and (L, F) > 0 and membership in the declared birational-Kaehler
+closure (movability) are compared on scalars.
 
 The classifier refuses to run unless the context certifies its hypotheses:
 ``strong_rlf`` must be declared and the RR polynomial must be strictly
@@ -24,6 +22,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from operator import mul
 
 from .cones import GeometricContext, _Record, _set, in_bk_closure
 from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError, show_int, show_vec
@@ -31,7 +30,6 @@ from .lattice import (
     Vec,
     divisibility,
     dot,
-    gram_image,
     is_primitive,
     pairing,
     square,
@@ -91,19 +89,20 @@ def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, list[
     """Check q(H) > 0, (H, ample) > 0 and (H, D) >= 0 against declared data,
     for a checked vector h_vec; return q(H), (H, ample) and the row of
     pairings (H, D_i) over the declared peds (walls are checked, not kept)."""
-    g_h = gram_image(ctx.lat, h_vec)
-    q_h = dot(h_vec, g_h)
+    r = ctx.lat.rank
+    # G*H, then (H, ample), the (H, D_i) and the (H, W_j): see GeometricContext.rows
+    pairs = [sum(map(mul, h_vec, g)) for g in ctx.rows]
+    q_h = sum(map(mul, h_vec, pairs))  # map stops after the r entries of G*H
     if q_h <= 0:
         raise DomainError(f"H is not big: q(H) = {show_int(q_h)} must be positive")
-    p_h = dot(g_h, ctx.ample)
+    p_h = pairs[r]
     if p_h <= 0:
         raise DomainError(f"(H, ample) = {show_int(p_h)} must be positive")
-    row = [dot(g_h, d) for d in ctx.peds]
-    pairings = row + [dot(g_h, w) for w in ctx.walls]
+    pairings = pairs[r + 1:]
     if min(pairings, default=0) < 0:
         p, d = next((p, d) for p, d in zip(pairings, ctx.peds + ctx.walls) if p < 0)
         raise DomainError(f"H is not nef against the declared classes: (H, {show_vec(d)}) = {show_int(p)} < 0")
-    return q_h, p_h, row
+    return q_h, p_h, pairings[:len(ctx.peds)]
 
 
 def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
@@ -138,21 +137,15 @@ def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decompositio
         )
     n = ctx.dtype.n
     chi = rr_eval(ctx.dtype, q_h)
-    if chi < 1:
-        return q_h, chi, None
-    m = invert_binomial(chi, n)
-    if m is None or m < 2:
-        return q_h, chi, None
     matches: list[Decomposition] = []
     # H - F = m*L, so (L, x) = ((H, x) - (F, x))/m: every test reads the row
     for f_vec, q_f, h_f in zip(ctx.peds, ctx.q_peds, row):
         if q_h - 2 * h_f + q_f != 0:  # m^2 q(L)
             continue
         diff = vec_sub(h_vec, f_vec)
-        if vec_is_zero(diff) or any(c % m != 0 for c in diff):
-            continue
-        l_vec = tuple(c // m for c in diff)
-        if math.gcd(*l_vec) != 1:
+        # L is primitive, so m is the content of H - F (0 when H = F)
+        m = math.gcd(*diff)
+        if m < 2 or math.comb(m + n, n) != chi:
             continue
         d = (h_f - q_f) // m
         if d <= 0:
@@ -161,7 +154,7 @@ def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decompositio
         # and (L, D) >= 0 for every declared ped D
         if dot(f_vec, ctx.g_ample) >= p_h or any(dot(f_vec, g) > h_d for g, h_d in zip(ctx.g_peds, row)):
             continue
-        dec = Decomposition(m, l_vec, f_vec, d)
+        dec = Decomposition(m, tuple(c // m for c in diff), f_vec, d)
         if dec not in matches:
             matches.append(dec)
     if len(matches) > 1:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError, show_int, show_vec
 from .lattice import (
@@ -214,12 +215,14 @@ class GeometricContext:
     closure induce Lagrangian fibrations; the classifier refuses to run
     without it.  ``note`` is free-form provenance, e.g. recording that the
     lattice is a Picard sublattice (divisibilities computed in a sublattice
-    may exceed those in the full lattice).  ``g_ample``, ``g_peds`` and
-    ``g_walls`` hold G*ample and G*v for each ped and wall, so that a checked
-    class pairs with them by a plain dot product; ``q_peds`` holds q(F) per ped.
+    may exceed those in the full lattice).  ``g_ample`` and ``g_peds`` hold
+    G*ample and G*D for each ped D, so that a checked class pairs with them by
+    a plain dot product; ``q_peds`` holds q(D) per ped.  ``rows`` stacks the
+    Gram rows, G*ample, the G*D and G*W for each wall W: one pass of dot
+    products with a checked class v gives G*v and every pairing of v.
     """
 
-    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "g_ample", "g_peds", "g_walls", "q_peds")
+    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "g_ample", "g_peds", "q_peds", "rows")
 
     def __init__(
         self,
@@ -245,8 +248,8 @@ class GeometricContext:
         self.note = note
         self.g_ample = gram_image(lat, self.ample)
         self.g_peds = tuple(gram_image(lat, d) for d in self.peds)
-        self.g_walls = tuple(gram_image(lat, w) for w in self.walls)
         self.q_peds = tuple(map(dot, self.peds, self.g_peds))
+        self.rows = lat.gram + (self.g_ample,) + self.g_peds + tuple(gram_image(lat, w) for w in self.walls)
 
     def to_json_dict(self) -> dict:
         data = {
@@ -380,6 +383,11 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     through positive integers, which bounds the number of steps by the
     initial pairing; any violation of that descent means the declared data
     is inconsistent and raises ConsistencyError.
+
+    The result is in the declared BK closure with no check on exit: each step
+    subtracts a*D with a = 2(alpha_i, D)/q(D) an integer, an isometry, so
+    q(result) = q(alpha) >= 0; (result, ample) > 0 was checked on entry or by
+    the last step, and the loop ends only when (result, D) >= 0 for every ped.
     """
     current = ctx.lat.vector(alpha)
     if vec_is_zero(current):
@@ -394,7 +402,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     steps: list[tuple[Vec, int]] = []
     while True:
         for violated, g_d, qd in zip(ctx.peds, ctx.g_peds, ctx.q_peds):
-            p = dot(current, g_d)
+            p = sum(map(mul, current, g_d))
             if p < 0:
                 break
         else:
@@ -411,7 +419,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
             )
         a = num // qd
         nxt = tuple([c - a * x for c, x in zip(current, violated)])
-        new_height = dot(nxt, ctx.g_ample)
+        new_height = sum(map(mul, nxt, ctx.g_ample))
         if not (0 < new_height < height):
             raise ConsistencyError(
                 f"descent failed: (alpha, ample) went {show_int(height)} -> {show_int(new_height)};"
@@ -420,9 +428,6 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
         steps.append((violated, a))
         current = nxt
         height = new_height
-    # the exit scan has found (current, D) >= 0 for every ped: only the cone half is left
-    if not _in_cone(ctx, current, closed=True):
-        raise ConsistencyError("walk terminated outside the declared BK closure")
     return ReflectionTrace(result=current, steps=tuple(steps))
 
 
@@ -431,11 +436,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
 
 def in_positive_cone(ctx: GeometricContext, alpha: Iterable[int], closed: bool = False) -> bool:
     """Membership in the (open or closed) positive cone on the ample side."""
-    return _in_cone(ctx, ctx.lat.vector(alpha), closed)
-
-
-def _in_cone(ctx: GeometricContext, a: Vec, closed: bool) -> bool:
-    """in_positive_cone for a checked vector a."""
+    a = ctx.lat.vector(alpha)
     if closed and vec_is_zero(a):
         return True
     qa = dot(a, gram_image(ctx.lat, a))
@@ -452,10 +453,8 @@ def in_bk_closure(ctx: GeometricContext, alpha: Iterable[int], include_walls: bo
     than the closure itself).
     """
     a = ctx.lat.vector(alpha)
-    if not _in_cone(ctx, a, closed=True):
-        return False
-    cutters = ctx.g_peds + ctx.g_walls if include_walls else ctx.g_peds
-    return all(dot(a, g) >= 0 for g in cutters)
+    cutters = ctx.rows[ctx.lat.rank + 1:] if include_walls else ctx.g_peds  # every G*D, then every G*W
+    return in_positive_cone(ctx, a, closed=True) and all(dot(a, g) >= 0 for g in cutters)
 
 
 def ped_inequality_check(lat: Lattice, d: Iterable[int]) -> bool:

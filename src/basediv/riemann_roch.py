@@ -39,6 +39,10 @@ MONO_WALK_LIMIT = 10**6
 # costs about n^3 digit operations (0.25 s at n = 500, 1.5 s at n = 1000).
 HALF_DIM_LIMIT = 500
 
+# rr_eval refuses when n * q.bit_length(), about the value's bit length, exceeds
+# this: at the limit it takes 0.3 s at n = 500, 0.4 ms at n = 1 (2-vCPU Xeon).
+RR_EVAL_BITS_LIMIT = 2**19
+
 _UNSET = object()
 
 
@@ -243,12 +247,15 @@ def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
     """Evaluate the RR polynomial at q, asserting the result is an integer.
 
     Registered families live on even lattices, so q must be even; the
-    allow_odd escape hatch applies to Generic types only.
+    allow_odd escape hatch applies to Generic types only.  A q whose value
+    would pass RR_EVAL_BITS_LIMIT bits raises CapabilityError.
     """
     if isinstance(q, bool) or not isinstance(q, int):
         raise DomainError(f"q must be an integer, got {q!r}")
     if q % 2 != 0 and not (allow_odd and t.kind == GENERIC):
         raise DomainError(f"q must be even (even-lattice convention), got {q}")
+    if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:
+        raise CapabilityError(f"RR value at a q of {q.bit_length()} bits for n = {t.n} passes the limit {RR_EVAL_BITS_LIMIT} on n * bit_length(q)")
     return _value(t.rr, q)
 
 

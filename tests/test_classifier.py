@@ -133,14 +133,19 @@ def test_candidate_orthogonal_to_the_ample_class_is_rejected():
     assert classify(ctx, (-7, 0, -5)) is None
 
 
-def reference_scan(ctx, h_vec, m):
-    """classify's verdict for a type with chi = m + 1, from the public pairing
-    and in_bk_closure; DomainError when H is not big and nef."""
+def reference_scan(ctx, h_vec):
+    """classify's verdict from the public pairing and in_bk_closure, with m
+    pinned by inverting chi = C(m+n, n); DomainError when H is not big and nef."""
     lat = ctx.lat
-    if pairing(lat, h_vec, h_vec) <= 0 or pairing(lat, h_vec, ctx.ample) <= 0:
+    q_h = pairing(lat, h_vec, h_vec)
+    if q_h <= 0 or pairing(lat, h_vec, ctx.ample) <= 0:
         return DomainError
     if any(pairing(lat, h_vec, d) < 0 for d in ctx.peds):
         return DomainError
+    chi = rr_eval(ctx.dtype, q_h)
+    m = invert_binomial(chi, ctx.dtype.n) if chi >= 1 else None
+    if m is None or m < 2:
+        return None
     found = []
     for f_vec in ctx.peds:
         diff = tuple(a - b for a, b in zip(h_vec, f_vec))
@@ -155,6 +160,13 @@ def reference_scan(ctx, h_vec, m):
     if len(found) > 1:
         return ConsistencyError
     return found[0] if found else None
+
+
+def _verdict(ctx, h_vec):
+    try:
+        return classify(ctx, h_vec)
+    except (DomainError, ConsistencyError) as exc:
+        return type(exc)
 
 
 @st.composite
@@ -196,11 +208,32 @@ def test_classify_matches_reference_scan(case):
     gram, ample, peds, h_vec, m = case
     q_h = square(Lattice(gram), h_vec)
     ctx = _generic_n1_context(gram, ample, peds, m + 1 - q_h // 2)
-    try:
-        got = classify(ctx, h_vec)
-    except (DomainError, ConsistencyError) as exc:
-        got = type(exc)
-    assert got == reference_scan(ctx, h_vec, m)
+    assert _verdict(ctx, h_vec) == reference_scan(ctx, h_vec)
+
+
+# U + <-2>, ped F = (0, 0, 1): H - F = (4, 4, -4) = 4*(1, 1, -1) with L = (1, 1, -1)
+# primitive, isotropic, d = 2 and in the closure; H' = L + F = (1, 1, 0)
+U_M2 = [[0, 1, 0], [1, 0, 0], [0, 0, -2]]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(scan_cases(), st.none() | st.integers(1, 8))
+@example((U_M2, (2, 2, -1), [(0, 0, 1)], (4, 4, -3), 4), None)  # a hit: content 4, chi = C(6, 2)
+@example((U_M2, (2, 2, -1), [(0, 0, 1)], (4, 4, -3), 2), None)  # content 4 = 2m, chi = C(4, 2)
+@example((U_M2, (2, 2, -1), [(0, 0, 1)], (1, 1, 0), 1), None)  # content 1, chi = C(3, 2) = n + 1
+def test_classify_matches_reference_scan_at_n_equal_two(case, t):
+    """Generic n = 2 with RR(q) = b0 + C(q/2 + 1, 2) = b0 + q/4 + q^2/8, whose
+    chi at q(H) is C(t+2, 2) for the drawn H = m*L + F + e and t = m unless
+    drawn too: content and chi then agree, disagree, or pin t = 1."""
+    gram, ample, peds, h_vec, m = case
+    t = m if t is None else t
+    k = square(Lattice(gram), h_vec) // 2
+    b0 = math.comb(t + 2, 2) - k * (k + 1) // 2
+    ctx = GeometricContext(
+        Lattice(gram), ample, peds=peds,
+        dtype=make_type(GENERIC, 2, coeffs=[b0, Fraction(1, 4), Fraction(1, 8)]), strong_rlf=True,
+    )
+    assert _verdict(ctx, h_vec) == reference_scan(ctx, h_vec)
 
 
 def test_classify_on_hyperbolic_plane_context():

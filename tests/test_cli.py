@@ -144,6 +144,15 @@ def test_rr_eval_with_context_and_bare_deformation(capsys, tmp_path):
     assert json.loads(out)["chi"] == 4
 
 
+def test_rr_eval_past_the_bit_limit_is_refused(capsys, tmp_path):
+    # n * q.bit_length() = 500 * 1050 passes the limit of 2**19
+    bare = tmp_path / "k3n500.json"
+    bare.write_text(json.dumps({"kind": "K3n", "n": 500}))
+    code, out, err = run(capsys, "rr-eval", "--input", str(bare), "--q", str(2**1049))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: RR value at a q of 1050 bits for n = 500") and "limit" in err
+
+
 def test_rr_eval_odd_q_is_domain_error(capsys):
     code, _, err = run(capsys, "rr-eval", "--input", PENCIL, "--q", "3")
     assert code == 1

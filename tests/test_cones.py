@@ -319,9 +319,16 @@ def _outcome(walk, ctx, alpha):
 @example(3, [1, 0, 0, 0])
 @example(2, [0, 8, -3, 2])
 def test_walk_matches_reference_walk(i, coords):
+    """The walk agrees with the reference, and a completed walk is an isometry
+    ending in the closed positive cone: the exit check reflect_into_bk leaves
+    out because its invariants imply it."""
     ctx = WALK_CONTEXTS[i]
     alpha = tuple(coords[: ctx.lat.rank])
-    assert _outcome(reflect_into_bk, ctx, alpha) == _outcome(reference_walk, ctx, alpha)
+    got = _outcome(reflect_into_bk, ctx, alpha)
+    assert got == _outcome(reference_walk, ctx, alpha)
+    if isinstance(got, ReflectionTrace):
+        assert square(ctx.lat, got.result) == square(ctx.lat, alpha)
+        assert in_positive_cone(ctx, got.result, closed=True)
 
 
 def test_walk_with_peds_of_two_squares_matches_reference_walk():

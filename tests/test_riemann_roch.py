@@ -19,6 +19,7 @@ from basediv import (
     make_type,
     rr_eval,
 )
+from basediv.riemann_roch import RR_EVAL_BITS_LIMIT
 
 
 def binom_product(top: int, n: int) -> int:
@@ -82,6 +83,17 @@ def test_rr_eval_parity_rules():
     # the escape hatch stays closed for registered families
     with pytest.raises(DomainError):
         rr_eval(t, 3, allow_odd=True)
+
+
+def test_rr_eval_refuses_values_past_the_bit_limit():
+    """n * q.bit_length() may reach RR_EVAL_BITS_LIMIT but not pass it."""
+    t = make_type(K3N, 2)
+    q = 2 ** (RR_EVAL_BITS_LIMIT // 2 - 1)  # n * q.bit_length() is the limit
+    assert rr_eval(t, q) == binom_product(q // 2 + 3, 2)
+    with pytest.raises(CapabilityError, match=r"passes the limit 524288 on n \* bit_length\(q\)"):
+        rr_eval(t, 2 * q)
+    with pytest.raises(CapabilityError):
+        rr_eval(make_type(K3N, 500), 2**1049)
 
 
 def test_rr_eval_flags_non_integral_values():
