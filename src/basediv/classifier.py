@@ -7,9 +7,11 @@ binomial C(m+n, n).  Because L is primitive, m is the content of H - F (the
 gcd of its coordinates), confirmed by chi: C(m+n, n) is strictly increasing
 in m.  The nef check leaves the row of pairings (H, D) over the declared
 peds, and since H - F = m*L every pairing (L, x) = ((H, x) - (F, x))/m is
-read from it: L is isotropic iff q(H) - 2(H, F) + q(F) = 0, tested first for
-each ped F, and (L, F) > 0 and membership in the declared birational-Kaehler
-closure (movability) are compared on scalars.
+read from it and from F's row of the context's ped table, which holds
+(F, ample) and every (F, D): L is isotropic iff q(H) - 2(H, F) + q(F) = 0,
+tested first for each ped F, and membership in the declared
+birational-Kaehler closure (movability) is compared on those scalars, with
+no pairing computed.
 
 The classifier refuses to run unless the context certifies its hypotheses:
 ``strong_rlf`` must be declared and the RR polynomial must be strictly
@@ -22,21 +24,19 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from operator import mul
+from operator import gt, mul, sub
 
 from .cones import GeometricContext, _Record, _set, in_bk_closure
 from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError, show_int, show_vec
 from .lattice import (
     Vec,
     divisibility,
-    dot,
     is_primitive,
     pairing,
     square,
     vec_add,
     vec_is_zero,
     vec_scale,
-    vec_sub,
 )
 from .riemann_roch import (
     DeformationType,
@@ -85,26 +85,6 @@ class NumericalNLType(_Record):
         return {"m": self.m, "d": self.d, "q_F": self.qF}
 
 
-def _require_big_nef(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, list[int]]:
-    """Check q(H) > 0, (H, ample) > 0 and (H, D) >= 0 against declared data,
-    for a checked vector h_vec; return q(H), (H, ample) and the row of
-    pairings (H, D_i) over the declared peds (walls are checked, not kept)."""
-    r = ctx.lat.rank
-    # G*H, then (H, ample), the (H, D_i) and the (H, W_j): see GeometricContext.rows
-    pairs = [sum(map(mul, h_vec, g)) for g in ctx.rows]
-    q_h = sum(map(mul, h_vec, pairs))  # map stops after the r entries of G*H
-    if q_h <= 0:
-        raise DomainError(f"H is not big: q(H) = {show_int(q_h)} must be positive")
-    p_h = pairs[r]
-    if p_h <= 0:
-        raise DomainError(f"(H, ample) = {show_int(p_h)} must be positive")
-    pairings = pairs[r + 1:]
-    if min(pairings, default=0) < 0:
-        p, d = next((p, d) for p, d in zip(pairings, ctx.peds + ctx.walls) if p < 0)
-        raise DomainError(f"H is not nef against the declared classes: (H, {show_vec(d)}) = {show_int(p)} < 0")
-    return q_h, p_h, pairings[:len(ctx.peds)]
-
-
 def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
     """Decide whether the big-and-nef class H carries a base divisor.
 
@@ -128,8 +108,25 @@ def _require_hypotheses(ctx: GeometricContext) -> None:
 def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decomposition | None]:
     """q(H), chi = RR(q(H)) and the decomposition (or None) of a checked class
     h_vec, on a context that meets the hypotheses; the one classify run
-    behind classify and classification_report."""
-    q_h, p_h, row = _require_big_nef(ctx, h_vec)
+    behind classify and classification_report.
+
+    H must be big and nef against the declared data: q(H) > 0, (H, ample) > 0
+    and (H, D) >= 0 for every declared ped and wall, the first negative
+    pairing reported in ped-then-wall order.
+    """
+    r = ctx.lat.rank
+    # G*H, then (H, ample), the (H, D_i) and the (H, W_j): see GeometricContext.rows
+    pairs = [sum(map(mul, h_vec, g)) for g in ctx.rows]
+    q_h = sum(map(mul, h_vec, pairs))  # map stops after the r entries of G*H
+    if q_h <= 0:
+        raise DomainError(f"H is not big: q(H) = {show_int(q_h)} must be positive")
+    p_h = pairs[r]
+    if p_h <= 0:
+        raise DomainError(f"(H, ample) = {show_int(p_h)} must be positive")
+    pairings = pairs[r + 1:]
+    if min(pairings, default=0) < 0:
+        p, d = next((p, d) for p, d in zip(pairings, ctx.peds + ctx.walls) if p < 0)
+        raise DomainError(f"H is not nef against the declared classes: (H, {show_vec(d)}) = {show_int(p)} < 0")
     if not check_strict_monotonic(ctx.dtype, q_h):
         raise HypothesisError(
             f"RR polynomial of {ctx.dtype!r} is not strictly monotonic up to q(H) = {show_int(q_h)};"
@@ -138,23 +135,22 @@ def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decompositio
     n = ctx.dtype.n
     chi = rr_eval(ctx.dtype, q_h)
     matches: list[Decomposition] = []
-    # H - F = m*L, so (L, x) = ((H, x) - (F, x))/m: every test reads the row
-    for f_vec, q_f, h_f in zip(ctx.peds, ctx.q_peds, row):
+    # H - F = m*L, so (L, x) = ((H, x) - (F, x))/m: every test reads the (H, D)
+    # and F's row of the ped table (zip and map stop before the (H, W))
+    for f_vec, q_f, h_f, f_row in zip(ctx.peds, ctx.q_peds, pairings, ctx.ped_table):
         if q_h - 2 * h_f + q_f != 0:  # m^2 q(L)
             continue
-        diff = vec_sub(h_vec, f_vec)
+        diff = tuple(map(sub, h_vec, f_vec))
         # L is primitive, so m is the content of H - F (0 when H = F)
         m = math.gcd(*diff)
         if m < 2 or math.comb(m + n, n) != chi:
             continue
-        d = (h_f - q_f) // m
-        if d <= 0:
-            continue
         # L is isotropic and nonzero, so it lies in the closure iff (L, ample) > 0
         # and (L, D) >= 0 for every declared ped D
-        if dot(f_vec, ctx.g_ample) >= p_h or any(dot(f_vec, g) > h_d for g, h_d in zip(ctx.g_peds, row)):
+        if f_row[0] >= p_h or any(map(gt, f_row[1:], pairings)):
             continue
-        dec = Decomposition(m, tuple(c // m for c in diff), f_vec, d)
+        # q(H) = 2md + q(F) with q(H) > 0 > q(F) and m >= 2 forces d > 0
+        dec = Decomposition(m, tuple(c // m for c in diff), f_vec, (h_f - q_f) // m)
         if dec not in matches:
             matches.append(dec)
     if len(matches) > 1:
@@ -228,17 +224,13 @@ def kumn_case1_solutions(n: int, m_max: int) -> list[int]:
     """All m in [1, m_max] with (n+1) * C(m-1+n, n) == C(m+n, n).
 
     Cross-multiplying reduces the identity to n*(m-1) == 0, so the unique
-    solution is m = 1; the scan certifies that for concrete n.
+    solution is m = 1, returned without a sweep.
     """
     if n < 1:
         raise DomainError("n must be positive")
     if m_max < 1:
         raise DomainError("m_max must be positive")
-    return [
-        m
-        for m in range(1, m_max + 1)
-        if (n + 1) * math.comb(m - 1 + n, n) == math.comb(m + n, n)
-    ]
+    return [1]
 
 
 def kumn_nonexistence_search(
@@ -300,7 +292,7 @@ def nl_numerical_types(dtype: DeformationType, q_h: int) -> list[NumericalNLType
     if isinstance(q_h, bool) or not isinstance(q_h, int):
         raise DomainError(f"q_h must be an integer, got {q_h!r}")
     if q_h <= 0 or q_h % 2 != 0:
-        raise DomainError(f"q_h must be a positive even integer, got {q_h}")
+        raise DomainError(f"q_h must be a positive even integer, got {show_int(q_h)}")
     chi = rr_eval(dtype, q_h)
     if chi < 1:
         return []
@@ -311,7 +303,7 @@ def nl_numerical_types(dtype: DeformationType, q_h: int) -> list[NumericalNLType
     lo, hi = q_h // (2 * m) + 1, q_h // (2 * (m - 1))
     if hi - lo + 1 > NL_TYPES_LIMIT:
         raise CapabilityError(
-            f"q(H) = {q_h} admits {hi - lo + 1} numerical types (m = {m});"
+            f"q(H) = {show_int(q_h)} admits {show_int(hi - lo + 1)} numerical types (m = {show_int(m)});"
             f" the limit is {NL_TYPES_LIMIT}"
         )
     return [NumericalNLType(m=m, d=d, qF=q_h - 2 * m * d) for d in range(lo, hi + 1)]

@@ -217,12 +217,15 @@ class GeometricContext:
     lattice is a Picard sublattice (divisibilities computed in a sublattice
     may exceed those in the full lattice).  ``g_ample`` and ``g_peds`` hold
     G*ample and G*D for each ped D, so that a checked class pairs with them by
-    a plain dot product; ``q_peds`` holds q(D) per ped.  ``rows`` stacks the
-    Gram rows, G*ample, the G*D and G*W for each wall W: one pass of dot
-    products with a checked class v gives G*v and every pairing of v.
+    a plain dot product; ``q_peds`` holds q(D) per ped.  ``ped_table`` holds,
+    for each ped D_i, the row ((D_i, ample), (D_i, D_0), ..., (D_i, D_{k-1})):
+    the classifier's closure test and the walk's height read it instead of
+    pairing again.  ``rows`` stacks the Gram rows, G*ample, the G*D and G*W
+    for each wall W: one pass of dot products with a checked class v gives
+    G*v and every pairing of v.
     """
 
-    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "g_ample", "g_peds", "q_peds", "rows")
+    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "g_ample", "g_peds", "q_peds", "ped_table", "rows")
 
     def __init__(
         self,
@@ -249,6 +252,7 @@ class GeometricContext:
         self.g_ample = gram_image(lat, self.ample)
         self.g_peds = tuple(gram_image(lat, d) for d in self.peds)
         self.q_peds = tuple(map(dot, self.peds, self.g_peds))
+        self.ped_table = tuple(tuple(dot(d, g) for g in (self.g_ample,) + self.g_peds) for d in self.peds)
         self.rows = lat.gram + (self.g_ample,) + self.g_peds + tuple(gram_image(lat, w) for w in self.walls)
 
     def to_json_dict(self) -> dict:
@@ -381,8 +385,10 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     step the first declared ped with (alpha_i, D) < 0 is used (first in list
     order, for reproducible traces).  (alpha_i, ample) strictly decreases
     through positive integers, which bounds the number of steps by the
-    initial pairing; any violation of that descent means the declared data
-    is inconsistent and raises ConsistencyError.
+    initial pairing, so no separate step budget is kept; any violation of
+    that descent means the declared data is inconsistent and raises
+    ConsistencyError.  A step by a*D lowers the height by a*(D, ample), read
+    from the context's ped table.
 
     The result is in the declared BK closure with no check on exit: each step
     subtracts a*D with a = 2(alpha_i, D)/q(D) an integer, an isometry, so
@@ -398,20 +404,15 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     height = dot(current, ctx.g_ample)
     if height <= 0:
         raise DomainError(f"(alpha, ample) = {show_int(height)} must be positive")
-    budget = height
     steps: list[tuple[Vec, int]] = []
     while True:
-        for violated, g_d, qd in zip(ctx.peds, ctx.g_peds, ctx.q_peds):
+        for i, g_d in enumerate(ctx.g_peds):
             p = sum(map(mul, current, g_d))
             if p < 0:
                 break
         else:
             break
-        if len(steps) >= budget:
-            raise ConsistencyError(
-                "reflection walk exceeded its iteration budget (alpha, ample);"
-                " the declared context data is inconsistent"
-            )
+        violated, qd, d_row = ctx.peds[i], ctx.q_peds[i], ctx.ped_table[i]
         num = 2 * p
         if num % qd != 0:
             raise ConsistencyError(
@@ -419,7 +420,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
             )
         a = num // qd
         nxt = tuple([c - a * x for c, x in zip(current, violated)])
-        new_height = sum(map(mul, nxt, ctx.g_ample))
+        new_height = height - a * d_row[0]  # (alpha - a*D, ample)
         if not (0 < new_height < height):
             raise ConsistencyError(
                 f"descent failed: (alpha, ample) went {show_int(height)} -> {show_int(new_height)};"
@@ -505,5 +506,5 @@ def k3_ped_candidates(lat: Lattice, coeff_bound: int, ample: Sequence[int] | Non
     out = enumerate_vectors(lat, -2, coeff_bound)
     if ample is not None:
         gh = gram_image(lat, lat.vector(ample))
-        out = [v for v in out if dot(gh, v) > 0]
+        out = [v for v in out if sum(map(mul, gh, v)) > 0]
     return out

@@ -253,7 +253,7 @@ def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
     if isinstance(q, bool) or not isinstance(q, int):
         raise DomainError(f"q must be an integer, got {q!r}")
     if q % 2 != 0 and not (allow_odd and t.kind == GENERIC):
-        raise DomainError(f"q must be even (even-lattice convention), got {q}")
+        raise DomainError(f"q must be even (even-lattice convention), got {show_int(q)}")
     if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:
         raise CapabilityError(f"RR value at a q of {q.bit_length()} bits for n = {t.n} passes the limit {RR_EVAL_BITS_LIMIT} on n * bit_length(q)")
     return _value(t.rr, q)

@@ -1,5 +1,6 @@
 import math
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,31 @@ def test_non_primitive_isotropic_candidate_is_rejected():
     )
     assert rr_eval(ctx.dtype, 14) == 3 and invert_binomial(3, 1) == 2
     assert classify(ctx, (4, 4, -3)) is None
+
+
+def test_non_isotropic_candidate_is_rejected():
+    """U + <-2>, K3: H - F = (2, 0, 2) has content m = 2 with chi = 3 = C(3, 1),
+    and L = (1, 0, 1) pairs positively with the ample class and with F, but
+    q(L) = -2, so only the isotropy test rejects it."""
+    ctx = GeometricContext(
+        Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]]),
+        (1, 2, 0),
+        peds=[(0, 1, -1)],
+        dtype=make_type(K3N, 1),
+        strong_rlf=True,
+    )
+    assert rr_eval(ctx.dtype, square(ctx.lat, (2, 1, 1))) == 3 and square(ctx.lat, (1, 0, 1)) == -2
+    assert classify(ctx, (2, 1, 1)) is None
+
+
+def test_class_orthogonal_to_the_ample_class_is_refused():
+    """U + <+2> is not hyperbolic, so a class of positive square can pair to
+    zero with the ample class; (H, ample) = 0 is refused, not only < 0."""
+    ctx = GeometricContext(
+        Lattice([[0, 1, 0], [1, 0, 0], [0, 0, 2]]), (1, 1, 0), dtype=make_type(K3N, 1), strong_rlf=True
+    )
+    with pytest.raises(DomainError, match=r"\(H, ample\) = 0 must be positive"):
+        classify(ctx, (0, 0, 1))
 
 
 def _generic_n1_context(gram, ample, peds, b0):
@@ -367,10 +393,17 @@ def test_kumn_search_small_grid_is_empty():
 
 def test_kumn_case1_reduces_to_m_equals_one():
     for n in range(2, 8):
-        assert kumn_case1_solutions(n, 40) == [1]
+        sweep = [m for m in range(1, 41) if (n + 1) * math.comb(m - 1 + n, n) == math.comb(m + n, n)]
+        assert kumn_case1_solutions(n, 40) == sweep == [1]
         # the cross-multiplied linear form of the identity
         for m in range(1, 41):
             assert ((n + 1) * m == m + n) == (m == 1)
+
+
+def test_kumn_case1_answers_a_huge_range_at_once():
+    start = time.perf_counter()
+    assert kumn_case1_solutions(3, 10**12) == [1]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_kumn_case2_square_lower_bound():

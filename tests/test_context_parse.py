@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from basediv import (
     BasedivError,
     CapabilityError,
+    DomainError,
     GENERIC,
     GeometricContext,
     K3N,
@@ -21,9 +22,11 @@ from basediv import (
     StructuralError,
     classify,
     make_type,
+    nl_numerical_types,
     ped_inequality_check,
     reflect,
     reflect_into_bk,
+    rr_eval,
     validate_context_payload,
 )
 from basediv.cli import main
@@ -149,6 +152,22 @@ def test_long_integers_get_typed_errors(call, shown):
     except BasedivError as exc:
         text = str(exc)
     assert shown in text
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: rr_eval(make_type(K3N, 1), LONG + 1), DomainError),
+        (lambda: nl_numerical_types(make_type(K3N, 1), LONG + 1), DomainError),
+        (lambda: nl_numerical_types(make_type(GENERIC, 1, coeffs=["2", "1e-4000"]), LONG), CapabilityError),
+    ],
+    ids=["rr-odd-q", "nl-odd-q", "nl-window"],
+)
+def test_long_integer_refusals_are_typed(call, error):
+    """The odd-q refusals and the numerical-type window refusal show a long
+    q abbreviated instead of failing to format it."""
+    with pytest.raises(error, match="<integer of 5001 digits>"):
+        call()
 
 
 def test_half_dimension_guard_comes_before_expansion():
