@@ -385,9 +385,8 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     step the first declared ped with (alpha_i, D) < 0 is used (first in list
     order, for reproducible traces).  (alpha_i, ample) strictly decreases
     through positive integers, which bounds the number of steps by the
-    initial pairing, so no separate step budget is kept; any violation of
-    that descent means the declared data is inconsistent and raises
-    ConsistencyError.  A step by a*D lowers the height by a*(D, ample), read
+    initial pairing; any violation of that descent means the declared data
+    is inconsistent and raises ConsistencyError.  A step by a*D lowers the height by a*(D, ample), read
     from the context's ped table.
 
     The result is in the declared BK closure with no check on exit: each step

@@ -180,6 +180,16 @@ def test_step_root_bound_is_fujiwaras():
     assert RRPolynomial([0, Fraction(35, 6), -3, Fraction(1, 6)]).root_bound == 32
 
 
+def test_event_just_past_a_tight_root_bound():
+    # step (q - 8)^2: positive for every real q > 8 but 0 at q = 8, so the
+    # only event is p(10) = p(8); B = 8 is the tightest bound the contract allows
+    g = make_type(GENERIC, 3, coeffs=[1, Fraction(121, 3), Fraction(-9, 2), Fraction(1, 6)])
+    assert g.rr.root_bound >= 8
+    g.rr.root_bound = 8
+    assert check_strict_monotonic(g, 8)
+    assert not check_strict_monotonic(g, 10**6)
+
+
 def test_first_non_integral_value_at_q_equal_to_2n():
     # K3^[3] plus q(q-2)(q-4)/144, which is 0 at q = 0, 2, 4 and 1/3 at q = 6
     g = make_type(GENERIC, 3, coeffs=[4, Fraction(20, 9), Fraction(1, 3), Fraction(1, 36)])
