@@ -27,7 +27,7 @@ from collections.abc import Iterable
 from operator import gt, mul, sub
 
 from .cones import GeometricContext, _Record, _set, in_bk_closure
-from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError, show_int, show_vec
+from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError, require_int, show_int, show_vec
 from .lattice import (
     Vec,
     divisibility,
@@ -46,7 +46,7 @@ from .riemann_roch import (
 )
 
 # kumn_nonexistence_search refuses when its (n, m, d, q_F) case count times
-# the largest n (the cost of one binomial grows with n) exceeds this.
+# n_max (the cost of one binomial grows with n) exceeds this.
 KUMN_SEARCH_LIMIT = 10**8
 # nl_numerical_types refuses when its window holds more (m, d, q_F) types.
 NL_TYPES_LIMIT = 10**5
@@ -226,6 +226,8 @@ def kumn_case1_solutions(n: int, m_max: int) -> list[int]:
     Cross-multiplying reduces the identity to n*(m-1) == 0, so the unique
     solution is m = 1, returned without a sweep.
     """
+    require_int("n", n)
+    require_int("m_max", m_max)
     if n < 1:
         raise DomainError("n must be positive")
     if m_max < 1:
@@ -233,48 +235,33 @@ def kumn_case1_solutions(n: int, m_max: int) -> list[int]:
     return [1]
 
 
-def kumn_nonexistence_search(
-    n_range: Iterable[int], m_range: Iterable[int], d_range: Iterable[int]
-) -> list[tuple[int, int, int, int]]:
-    """Exhaustively search for Kum^n base-divisor numerical types; expect none.
+def kumn_nonexistence_search(n_max: int, m_max: int, d_max: int) -> list[tuple[int, int, int, int]]:
+    """All Kum^n base-divisor numerical types (n, m, d, q_F) with 2 <= n <= n_max,
+    2 <= m <= m_max and 1 <= d <= d_max: always none, by the following proof.
 
-    For each (n, m, d) the candidate q(H) = 2*m*d + q(F) runs over the
-    admissible window (q(F) negative even with 2*d + q(F) >= 0, and
-    q(F) = -2 forced when d = 1), and the Kum^n chi value is compared with
-    C(m+n, n).  Returns all solutions found, as tuples (n, m, d, qF).
+    A type needs (n+1) * C(k+n, n) == C(m+n, n) at k = q(H)/2 = m*d + q_F/2,
+    where q_F is negative even with 2*d + q_F >= 0, so k >= (m-1)*d >= m-1.
+    The left side increases with k, and at k = m-1 it equals
+    C(m+n, n) * (n+1)*m/(m+n), which exceeds C(m+n, n) because
+    (n+1)*m - (m+n) = n*(m-1) > 0 for m >= 2.  oracle.oracle_kumn_search is
+    the case-by-case sweep.
+
+    The guard still counts the cases the sweep would visit: it refuses when
+    their number times n_max (the cost of one binomial grows with n) passes
+    KUMN_SEARCH_LIMIT.
     """
-    n_vals = list(n_range)
-    m_vals = list(m_range)
-    d_vals = list(d_range)
-    if any(n < 2 for n in n_vals):
-        raise DomainError("Kum^n requires n >= 2")
-    if any(m < 2 for m in m_vals):
-        raise DomainError("base-divisor multiplicities start at m = 2")
-    if any(d < 1 for d in d_vals):
-        raise DomainError("d = (L, F) must be positive")
-    cases = len(n_vals) * len(m_vals) * sum(d_vals)
-    work = cases * max(n_vals, default=0)
+    require_int("n_max", n_max)
+    require_int("m_max", m_max)
+    require_int("d_max", d_max)
+    d_count = max(d_max, 0)
+    cases = max(n_max - 1, 0) * max(m_max - 1, 0) * (d_count * (d_count + 1) // 2)
+    work = cases * n_max
     if work > KUMN_SEARCH_LIMIT:
         raise CapabilityError(
-            f"Kum^n search over {cases} (n, m, d, q_F) cases up to n = {max(n_vals)} costs {work};"
-            f" the limit on cases * max(n) is {KUMN_SEARCH_LIMIT}"
+            f"Kum^n search over {show_int(cases)} (n, m, d, q_F) cases up to n = {show_int(n_max)}"
+            f" costs {show_int(work)}; the limit on cases * max(n) is {KUMN_SEARCH_LIMIT}"
         )
-    hits: list[tuple[int, int, int, int]] = []
-    for n in n_vals:
-        for m in m_vals:
-            for d in d_vals:
-                if d == 1:
-                    q_h = 2 * (m - 1)
-                    if (n + 1) * math.comb(m - 1 + n, n) == math.comb(m + n, n):
-                        hits.append((n, m, 1, -2))
-                    continue
-                for q_f in range(-2 * d, 0, 2):
-                    q_h = 2 * m * d + q_f
-                    # d >= 2 forces q(H) >= 4(m-1); anything else is a bug
-                    assert q_h >= 4 * (m - 1)
-                    if (n + 1) * math.comb(q_h // 2 + n, n) == math.comb(m + n, n):
-                        hits.append((n, m, d, q_f))
-    return hits
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +276,7 @@ def nl_numerical_types(dtype: DeformationType, q_h: int) -> list[NumericalNLType
     Kum^n the list is empty.  No lattice embeddings or moduli data are
     produced, only the numbers.
     """
-    if isinstance(q_h, bool) or not isinstance(q_h, int):
-        raise DomainError(f"q_h must be an integer, got {q_h!r}")
+    require_int("q_h", q_h)
     if q_h <= 0 or q_h % 2 != 0:
         raise DomainError(f"q_h must be a positive even integer, got {show_int(q_h)}")
     chi = rr_eval(dtype, q_h)

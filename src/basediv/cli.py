@@ -146,9 +146,7 @@ def _cmd_nl_types(args) -> int:
 
 
 def _cmd_scan_kumn(args) -> int:
-    sols = kumn_nonexistence_search(
-        range(2, args.n_max + 1), range(2, args.m_max + 1), range(1, args.d_max + 1)
-    )
+    sols = kumn_nonexistence_search(args.n_max, args.m_max, args.d_max)
     if args.format == "json":
         _print_json(
             {
@@ -228,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="context or deformation JSON file")
     p.add_argument("--qh", type=int, required=True, help="the (positive even) square of H")
 
-    p = add("scan-kumn", _cmd_scan_kumn, help="exhaustive Kum^n base-divisor non-existence scan")
+    p = add("scan-kumn", _cmd_scan_kumn, help="Kum^n base-divisor non-existence over a box, by its proof")
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--m-max", type=int, default=30)
     p.add_argument("--d-max", type=int, default=30)

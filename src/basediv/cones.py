@@ -29,7 +29,7 @@ import math
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError, show_int, show_vec
+from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError, require_int, show_int, show_vec
 from .lattice import (
     Lattice,
     Vec,
@@ -46,7 +46,7 @@ from .lattice import (
 )
 from .riemann_roch import DeformationType, deformation_from_json_dict
 
-# rank2_exceptional_scan visits (2*bound + 1)^2 points; refuse beyond this bound.
+# rank2_exceptional_scan refuses bounds beyond this, as the box sweep it replaced did.
 RANK2_SCAN_BOUND_LIMIT = 500
 
 
@@ -135,6 +135,11 @@ def _raise_first(checks: list[ContextCheck]) -> None:
         raise first.error or DomainError(f"invalid context ({first.name}): {first.detail}")
 
 
+def _divisibility_holds(qd: int, dv: int) -> bool:
+    """The prime-exceptional divisibility condition q(D) | 2*div(D)."""
+    return (2 * dv) % qd == 0
+
+
 def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextCheck]:
     checks = []
     shown = show_vec(d)
@@ -166,7 +171,7 @@ def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextChec
     )
     if qd < 0:
         dv = divisibility(lat, d)
-        ok = (2 * dv) % qd == 0
+        ok = _divisibility_holds(qd, dv)
         detail = f"q(D) = {show_int(qd)}, div(D) = {show_int(dv)}"
         if not ok:
             detail += (
@@ -469,27 +474,25 @@ def ped_inequality_check(lat: Lattice, d: Iterable[int]) -> bool:
     qd = square(lat, dv)
     if qd >= 0:
         raise DomainError(f"prime-exceptional candidates need q < 0; q({show_vec(dv)}) = {show_int(qd)}")
-    return (2 * divisibility(lat, dv)) % qd == 0
+    return _divisibility_holds(qd, divisibility(lat, dv))
 
 
 def rank2_exceptional_scan(bound: int) -> list[Vec]:
     """All (a, b) in the hyperbolic plane with |a|,|b| <= bound, q < 0 and
-    |2ab|/2 <= gcd(a, b).
+    |2ab|/2 <= gcd(a, b): the prime-exceptional divisibility inequality
+    written out in the basis E, F of U.
 
-    The constraint is the prime-exceptional divisibility inequality written
-    out in the basis E, F of U; the only solutions are +-(E - F), for any
-    bound.
+    The answer is +-(E - F) for every bound >= 1.  q(a, b) = 2ab < 0 makes
+    a, b nonzero, so g = gcd(a, b) >= 1; with a = g*a', b = g*b', the
+    inequality -ab <= g reads g*(-a'*b') <= 1 with -a'*b' >= 1, so g = 1 and
+    a'*b' = -1.  oracle.oracle_rank2_scan is the sweep of the box.
     """
+    require_int("bound", bound)
     if bound < 1:
         raise DomainError("bound must be >= 1")
     if bound > RANK2_SCAN_BOUND_LIMIT:
-        raise CapabilityError(f"rank-2 scan bound {bound} exceeds the limit {RANK2_SCAN_BOUND_LIMIT}")
-    out = []
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if a * b < 0 and -a * b <= math.gcd(a, b):  # q(a, b) = 2ab on U
-                out.append((a, b))
-    return out
+        raise CapabilityError(f"rank-2 scan bound {show_int(bound)} exceeds the limit {RANK2_SCAN_BOUND_LIMIT}")
+    return [(-1, 1), (1, -1)]
 
 
 def k3_ped_candidates(lat: Lattice, coeff_bound: int, ample: Sequence[int] | None = None) -> list[Vec]:

@@ -72,3 +72,9 @@ def show_value(x) -> str:
         return repr(x)
     except ValueError:
         return f"<{type(x).__name__} holding an integer too long to print>"
+
+
+def require_int(name: str, x) -> None:
+    """DomainError unless x is an int; a bool is refused too."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"{name} must be an integer, got {show_value(x)}")

@@ -2,8 +2,9 @@
 
 Everything here re-derives results by exhaustive enumeration or by direct
 product formulas, sharing only the lattice pairing primitive (and plain data
-containers) with the rest of the package.  Exponentially slower by design;
-capability guards keep the sweeps at desk scale.
+containers) with the rest of the package, which does not import this module.
+Exponentially slower by design; capability guards keep the classify sweep at
+desk scale, and the Kum^n and rank-2 sweeps run on the boxes they are given.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import product
 from .classifier import Decomposition
 from .cones import GeometricContext
 from .errors import CapabilityError, DomainError
-from .lattice import pairing
+from .lattice import Vec, pairing
 from .riemann_roch import K3N, KUMN, DeformationType
 
 ORACLE_RANK_LIMIT = 3
@@ -99,3 +100,39 @@ def oracle_classify(ctx: GeometricContext, H: Iterable[int], coeff_bound: int) -
                     continue
                 found.append(Decomposition(m=m, L=tuple(l_vec), F=f_vec, d=d))
     return found
+
+
+def oracle_kumn_search(
+    n_range: Iterable[int], m_range: Iterable[int], d_range: Iterable[int]
+) -> list[tuple[int, int, int, int]]:
+    """Exhaustively search for Kum^n base-divisor numerical types; expect none.
+
+    For each (n, m, d) the candidate q(H) = 2*m*d + q(F) runs over the
+    admissible window (q(F) negative even with 2*d + q(F) >= 0, and
+    q(F) = -2 forced when d = 1), and the Kum^n chi value is compared with
+    C(m+n, n).  Returns all solutions found, as tuples (n, m, d, qF).
+    """
+    hits: list[tuple[int, int, int, int]] = []
+    for n in n_range:
+        for m in m_range:
+            for d in d_range:
+                if d == 1:
+                    if (n + 1) * math.comb(m - 1 + n, n) == math.comb(m + n, n):
+                        hits.append((n, m, 1, -2))
+                    continue
+                for q_f in range(-2 * d, 0, 2):
+                    q_h = 2 * m * d + q_f
+                    if (n + 1) * math.comb(q_h // 2 + n, n) == math.comb(m + n, n):
+                        hits.append((n, m, d, q_f))
+    return hits
+
+
+def oracle_rank2_scan(bound: int) -> list[Vec]:
+    """Sweep the box |a|, |b| <= bound of the hyperbolic plane for q(a, b) < 0
+    and |2ab|/2 <= gcd(a, b)."""
+    out = []
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            if a * b < 0 and -a * b <= math.gcd(a, b):  # q(a, b) = 2ab on U
+                out.append((a, b))
+    return out

@@ -58,6 +58,11 @@ MUTANTS = (
     ("rr-eval-guard", RIEMANN_ROCH, "if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:", "if q.bit_length() > RR_EVAL_BITS_LIMIT:", ("tests/test_riemann_roch.py",)),
     ("last-coordinate-remainder", LATTICE, "if rem == 0 and -bound <= x <= bound:", "if -bound <= x <= bound:", ("tests/test_lattice.py",)),
     ("completions-memo-key", LATTICE, "memo[i, c] = out", "memo[i, 0] = out", ("tests/test_lattice.py",)),
+    # the scans answered by their proofs, and the shared ped divisibility test
+    ("rank2-floor", CONES, "if bound < 1:", "if bound < 0:", ("tests/test_cones.py",)),
+    ("kumn-guard", CLASSIFIER, "if work > KUMN_SEARCH_LIMIT:", "if work >= KUMN_SEARCH_LIMIT:", ("tests/test_classifier.py",)),
+    # a remainder modulo q(D) < 0 is never positive, so the mutant accepts every ped
+    ("ped-divisibility", CONES, "return (2 * dv) % qd == 0", "return (2 * dv) % qd <= 0", ("tests/test_cones.py",)),
     ("show-int-limit", ERRORS, "n.bit_length() <= 3 * limit", "n.bit_length() <= 4 * limit", ("tests/test_context_parse.py",)),
 )
 

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import basediv.classifier
 from basediv import (
+    CapabilityError,
     ConsistencyError,
     ContextCheck,
     Decomposition,
@@ -33,12 +34,15 @@ from basediv import (
     make_type,
     nl_numerical_types,
     pairing,
+    rank2_exceptional_scan,
     rank_one,
     rr_eval,
     run_context_checks,
     square,
     verify_decomposition,
 )
+from basediv.classifier import KUMN_SEARCH_LIMIT
+from basediv.oracle import oracle_kumn_search
 
 
 def test_pencil_classification(k3_pencil):
@@ -388,7 +392,51 @@ def test_classification_report_shape(k3_pencil):
 
 
 def test_kumn_search_small_grid_is_empty():
-    assert kumn_nonexistence_search(range(2, 5), range(2, 12), range(1, 12)) == []
+    for n_max in range(-1, 6):
+        for m_max in (-1, 0, 1, 2, 3, 7, 12):
+            for d_max in (-1, 0, 1, 2, 5, 11):
+                sweep = oracle_kumn_search(range(2, n_max + 1), range(2, m_max + 1), range(1, d_max + 1))
+                assert kumn_nonexistence_search(n_max, m_max, d_max) == sweep == []
+
+
+def test_kumn_search_guard_boundary():
+    # n_max = 2 and d_max = 1 leave m_max - 1 cases, each costing n = 2
+    m_max = KUMN_SEARCH_LIMIT // 2 + 1
+    assert kumn_nonexistence_search(2, m_max, 1) == []
+    with pytest.raises(CapabilityError) as info:
+        kumn_nonexistence_search(2, m_max + 1, 1)
+    assert str(info.value) == (
+        "Kum^n search over 50000001 (n, m, d, q_F) cases up to n = 2 costs 100000002;"
+        " the limit on cases * max(n) is 100000000"
+    )
+
+
+def test_kumn_search_proof_step():
+    # at the least k = m - 1 the Kum^n side already exceeds C(m+n, n)
+    for n in range(2, 21):
+        for m in range(2, 61):
+            assert (m + n) * math.comb(m - 1 + n, n) == m * math.comb(m + n, n)
+            assert (n + 1) * math.comb(m - 1 + n, n) > math.comb(m + n, n)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (rank2_exceptional_scan, (2.5,)),
+        (rank2_exceptional_scan, ("3",)),
+        (rank2_exceptional_scan, (True,)),
+        (kumn_nonexistence_search, (2.5, 2, 1)),
+        (kumn_nonexistence_search, ([2.5], [2], [1])),
+        (kumn_nonexistence_search, (3, "30", 30)),
+        (kumn_nonexistence_search, (3, 30, True)),
+        (kumn_case1_solutions, (2.5, 3)),
+        (kumn_case1_solutions, (2, 3.0)),
+        (kumn_case1_solutions, (True, 3)),
+    ],
+)
+def test_scans_refuse_non_integer_arguments(fn, args):
+    with pytest.raises(DomainError, match="must be an integer"):
+        fn(*args)
 
 
 def test_kumn_case1_reduces_to_m_equals_one():

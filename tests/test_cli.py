@@ -197,6 +197,15 @@ def test_unbounded_scans_are_refused(capsys, tmp_path):
     assert err.startswith("error:") and "limit" in err
 
 
+def test_huge_kumn_box_is_refused_before_allocating(capsys):
+    # a sweep would first list 10^10 values of d
+    start = time.perf_counter()
+    code, out, err = run(capsys, "scan-kumn", "--n-max", "1000", "--m-max", "1000", "--d-max", "10000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "limit" in err
+
+
 def test_validate_context_ok(capsys):
     code, out, _ = run(capsys, "validate-context", "--input", PENCIL)
     assert code == 0
@@ -231,7 +240,7 @@ def test_validate_context_structural_failure_is_exit_two(capsys, tmp_path):
 COLD_START = """
 import io, json, sys
 import basediv.cli
-heavy = ("dataclasses", "inspect", "typing", "fractions", "decimal")
+heavy = ("dataclasses", "inspect", "typing", "fractions", "decimal", "basediv.oracle")
 at_import = [m for m in heavy if m in sys.modules]
 codes = []
 for argv in json.loads(sys.argv[1]):

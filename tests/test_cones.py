@@ -28,6 +28,7 @@ from basediv import (
     square,
     validate_context_payload,
 )
+from basediv.oracle import oracle_rank2_scan
 
 U = hyperbolic_plane()
 U_MINUS4 = direct_sum(hyperbolic_plane(), rank_one(-4))
@@ -189,9 +190,16 @@ def test_ped_inequality_examples():
         ped_inequality_check(U, (0, 0))
 
 
-@pytest.mark.parametrize("bound", [1, 10, 50])
+@pytest.mark.parametrize("bound", range(1, 61))
 def test_rank2_scan(bound):
-    assert rank2_exceptional_scan(bound) == [(-1, 1), (1, -1)]
+    assert rank2_exceptional_scan(bound) == oracle_rank2_scan(bound) == [(-1, 1), (1, -1)]
+
+
+def test_rank2_scan_refuses_bound_zero():
+    # the box of bound 0 holds only (0, 0), where the closed form would be wrong
+    assert oracle_rank2_scan(0) == []
+    with pytest.raises(DomainError, match="bound must be >= 1"):
+        rank2_exceptional_scan(0)
 
 
 def test_k3_ped_candidates():

@@ -16,10 +16,9 @@ from basediv import (
     pairing,
     rank_one,
     square,
-    vec_add,
 )
 from basediv import lattice
-from basediv.lattice import dot, gram_image
+from basediv.lattice import dot, gram_image, vec_add
 
 U = hyperbolic_plane()
 U_MINUS4 = direct_sum(hyperbolic_plane(), rank_one(-4))

@@ -16,11 +16,10 @@ from basediv import (
     direct_sum,
     hyperbolic_plane,
     make_type,
-    oracle_classify,
-    oracle_rr,
     rank_one,
     rr_eval,
 )
+from basediv.oracle import oracle_classify, oracle_rr
 
 from conftest import fixture_path
 
