@@ -12,9 +12,13 @@ are expanded once into integer numerators over one common denominator, and
 that pair is the whole state: the registered families are built from it
 directly, evaluation is Horner's rule in integers followed by one exact
 division, and monotonicity certification and binomial inversion stay in
-exact arithmetic.  Fractions are made on demand, only where a rational is
-parsed or shown, so a command on a registered type never imports
-``fractions`` and ``decimal`` (about 3 ms of start-up on a 2-vCPU Xeon host).
+exact arithmetic.  Generic coefficients are read straight to integer pairs:
+an int as itself, a string by ``_read_pair`` in the grammar of
+``Fraction(str)``.  Fractions are made on demand only by ``coeffs``,
+``__call__`` and ``fujiki``, and for a library coefficient of another type
+(a Fraction, float or Decimal), so parsing a context, Generic or not, never
+imports ``fractions``, ``decimal`` and ``numbers`` (about 3 ms of start-up on
+a 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
@@ -50,37 +54,29 @@ class RRPolynomial:
     """Polynomial sum b_i x^i with exact rational coefficients, b_n > 0.
 
     The state is ``nums`` and ``den``: the b_i as integer numerators over
-    their least common denominator, which is what evaluation uses.
-    ``coeffs`` makes the b_i as Fractions on demand.  ``root_bound`` is an
-    integer B >= 0 such that the step p(q + 2) - p(q) is positive for every
-    real q > B.
+    their least common denominator, in lowest terms, which is what
+    evaluation uses.  ``coeffs`` makes the b_i as Fractions on demand.
+    ``root_bound`` is an integer B >= 0 such that the step p(q + 2) - p(q)
+    is positive for every real q > B.
     """
 
     __slots__ = ("nums", "den", "root_bound")
 
     def __init__(self, coeffs: Iterable):
-        from fractions import Fraction
-        cs = tuple(Fraction(c) for c in coeffs)
-        if not cs:
-            raise DomainError("coefficient vector must be nonempty")
-        if cs[-1] <= 0:
-            lead = cs[-1]
-            shown = show_int(lead.numerator) + ("" if lead.denominator == 1 else f"/{show_int(lead.denominator)}")
-            raise DomainError(f"leading coefficient must be positive, got {shown}")
-        self.den = math.lcm(*(c.denominator for c in cs))
-        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in cs)
-        self.root_bound = _step_root_bound(self.nums)
+        self._store(*_over_lcm([_coefficient(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]))
 
     @classmethod
     def _over(cls, nums: Sequence[int], den: int) -> "RRPolynomial":
-        """The polynomial sum (nums[i] / den) x^i, with nums[-1] / den > 0,
-        stored in lowest terms as __init__ stores it."""
-        g = math.gcd(den, *nums)
+        """The polynomial sum (nums[i] / den) x^i, with nums[-1] / den > 0."""
         rr = cls.__new__(cls)
-        rr.den = den // g
-        rr.nums = tuple(c // g for c in nums)
-        rr.root_bound = _step_root_bound(rr.nums)
+        rr._store(nums, den)
         return rr
+
+    def _store(self, nums: Sequence[int], den: int) -> None:
+        g = math.gcd(den, *nums)
+        self.den = den // g
+        self.nums = tuple(c // g for c in nums)
+        self.root_bound = _step_root_bound(self.nums)
 
     @property
     def coeffs(self) -> tuple:
@@ -110,8 +106,32 @@ class RRPolynomial:
     def __hash__(self) -> int:
         return hash((self.nums, self.den))
 
+    def _texts(self) -> list[str]:
+        """The b_i as str(Fraction) writes them: "num/den" in lowest terms, or "num"."""
+        out = []
+        for c in self.nums:
+            g = math.gcd(c, self.den)
+            out.append(_show_pair(c // g, self.den // g, str))
+        return out
+
     def __repr__(self) -> str:
-        return f"RRPolynomial({[str(c) for c in self.coeffs]})"
+        return f"RRPolynomial({self._texts()})"
+
+
+def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+    """The b_i, given as pairs (num, den) in lowest terms with den > 0, as
+    numerators over their least common denominator."""
+    if not pairs:
+        raise DomainError("coefficient vector must be nonempty")
+    num, den = pairs[-1]
+    if num <= 0:
+        raise DomainError(f"leading coefficient must be positive, got {_show_pair(num, den, show_int)}")
+    den = math.lcm(*(d for _, d in pairs))
+    return [a * (den // d) for a, d in pairs], den
+
+
+def _show_pair(num: int, den: int, show) -> str:
+    return show(num) if den == 1 else f"{show(num)}/{show(den)}"
 
 
 def _step_root_bound(nums: Sequence[int]) -> int:
@@ -188,7 +208,7 @@ class DeformationType:
         return {
             "kind": self.kind,
             "n": self.n,
-            "coeffs": [str(c) for c in self.rr.coeffs],
+            "coeffs": self.rr._texts(),
         }
 
 
@@ -204,18 +224,25 @@ def _half_q_binomial(shift: int, n: int) -> list[int]:
 _registry: dict[tuple[str, int], DeformationType] = {}
 
 
+def _check_degree(n: int, count: int) -> None:
+    degree = max(n, count - 1)
+    if degree > HALF_DIM_LIMIT:
+        raise CapabilityError(f"RR polynomial of degree {degree} exceeds the half-dimension limit {HALF_DIM_LIMIT}")
+
+
 def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) -> DeformationType:
     """Build (or fetch) a deformation type with its RR polynomial.
 
     K3n requires n >= 1 and Kumn requires n >= 2; Kum^1 is rejected because
     the closed form at n=1 disagrees with the K3 surface polynomial, so a
     2-dimensional "Kum" type would silently produce wrong chi values.
-    Generic takes explicit coefficients b_0..b_n with b_n > 0.  Degrees above
-    HALF_DIM_LIMIT raise CapabilityError before anything is expanded.
+    Generic takes explicit coefficients b_0..b_n with b_n > 0: ints, strings
+    that Fraction(str) reads, or values that Fraction(c) reads; any other
+    coefficient raises DomainError.  Degrees above HALF_DIM_LIMIT, and a
+    string with a decimal exponent of more than four digits, raise
+    CapabilityError before anything is expanded.
     """
-    degree = max(n, len(coeffs or ()) - 1)
-    if degree > HALF_DIM_LIMIT:
-        raise CapabilityError(f"RR polynomial of degree {degree} exceeds the half-dimension limit {HALF_DIM_LIMIT}")
+    _check_degree(n, len(coeffs or ()))
     if kind == GENERIC:
         if coeffs is None:
             raise DomainError("Generic deformation type needs explicit RR coefficients")
@@ -359,21 +386,97 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
         if coeffs is None:
             raise StructuralError('Generic deformation JSON needs a "coeffs" array')
         coeffs = as_array(coeffs, "deformation.coeffs")
-        return make_type(GENERIC, n, coeffs=[_fraction(c, f"deformation.coeffs[{i}]") for i, c in enumerate(coeffs)])
+        pairs = [_json_coefficient(c, f"deformation.coeffs[{i}]") for i, c in enumerate(coeffs)]
+        _check_degree(n, len(pairs))
+        return DeformationType(GENERIC, n, RRPolynomial._over(*_over_lcm(pairs)))
     return make_type(kind, n)
 
 
-def _fraction(c, path: str):
-    """c as a Fraction; c is a JSON number or a string such as "5/4"."""
-    from fractions import Fraction
+def _json_coefficient(c, path: str) -> tuple[int, int]:
+    """A JSON number, or a string such as "5/4", as (num, den)."""
     if type(c) is int:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
-        return Fraction(c)
+        return c, 1
     try:
         text = str(c)
-        # Fraction expands the exponent: 10**(10**6) takes 0.24 s, 10**(10**7) 12 s on a 2-vCPU Xeon
-        exponent = text.lower().partition("e")[2].lstrip("+-0")
-        if exponent.isdecimal() and len(exponent) > 4:
-            raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {c!r}")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise StructuralError(f"{path} must be a rational number, got {show_value(c)}") from None
+    except ValueError:  # a list holding such an int; read as "", which is refused
+        text = ""
+    pair = _read_pair(text, path)
+    if pair is None:
+        raise StructuralError(f"{path} must be a rational number, got {show_value(c)}")
+    return pair
+
+
+def _coefficient(c, path: str) -> tuple[int, int]:
+    """A library coefficient as (num, den): an int is exact, a string is read
+    by _read_pair, and any other value goes through Fraction(c)."""
+    if isinstance(c, int):
+        return int(c), 1
+    if isinstance(c, str):
+        pair = _read_pair(c, path)
+    else:
+        from fractions import Fraction
+        try:
+            f = Fraction(c)
+            pair = f.numerator, f.denominator
+        except (TypeError, ValueError, OverflowError):  # None or a list; nan; inf
+            pair = None
+    if pair is None:
+        raise DomainError(f"{path} must be a rational number, got {show_value(c)}")
+    return pair
+
+
+def _read_pair(text: str, path: str) -> tuple[int, int] | None:
+    """text as Fraction(text) reads it on Python 3.11, as (num, den) in lowest
+    terms with den > 0, or None where Fraction refuses it.
+
+    The grammar: surrounding whitespace, an optional sign, then either a/b or
+    [a][.b][e[+-]c] with a digit before the point or right after it, where
+    a, b and c are Unicode decimal digits with single underscores between
+    digit groups.  A decimal exponent of more than four digits raises
+    CapabilityError first.
+    """
+    # Fraction expands the exponent: 10**(10**6) takes 0.24 s, 10**(10**7) 12 s on a 2-vCPU Xeon
+    exponent = text.lower().partition("e")[2].replace("_", "").lstrip("+-0")
+    if exponent.isdecimal() and len(exponent) > 4:
+        raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {text!r}")
+    s = text.strip()
+    sign = s[:1]
+    if sign in ("+", "-"):
+        s = s[1:]
+    whole, slash, den_text = s.partition("/")
+    try:
+        if slash:
+            if not (_digits(whole) and _digits(den_text)):
+                return None
+            num, den = int(whole), int(den_text)
+            if den == 0:
+                return None
+        else:
+            mantissa, e, exp = s.replace("E", "e").partition("e")
+            whole, _, frac = mantissa.partition(".")
+            if not (whole or frac) or (whole and not _digits(whole)) or (frac and not _digits(frac)):
+                return None
+            if e and not _digits(exp[1:] if exp[:1] in ("+", "-") else exp):
+                return None
+            num, den = int(whole or "0"), 1
+            if frac:
+                frac = frac.replace("_", "")
+                den = 10 ** len(frac)
+                num = num * den + int(frac)
+            if e:
+                k = int(exp)
+                if k >= 0:
+                    num *= 10**k
+                else:
+                    den *= 10**-k
+    except ValueError:  # a group of more than sys.get_int_max_str_digits() digits
+        return None
+    if sign == "-":
+        num = -num
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _digits(group: str) -> bool:
+    """Decimal digits with single underscores between digit groups."""
+    return all(map(str.isdecimal, group.split("_")))

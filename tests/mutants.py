@@ -63,6 +63,11 @@ MUTANTS = (
     ("kumn-guard", CLASSIFIER, "if work > KUMN_SEARCH_LIMIT:", "if work >= KUMN_SEARCH_LIMIT:", ("tests/test_classifier.py",)),
     # a remainder modulo q(D) < 0 is never positive, so the mutant accepts every ped
     ("ped-divisibility", CONES, "return (2 * dv) % qd == 0", "return (2 * dv) % qd <= 0", ("tests/test_cones.py",)),
+    # the Generic coefficient reader, against Fraction(text) and the exponent guard
+    ("coefficient-sign", RIEMANN_ROCH, 'if sign == "-":', 'if sign == "+":', ("tests/test_riemann_roch.py",)),
+    ("coefficient-decimal-scale", RIEMANN_ROCH, "den = 10 ** len(frac)", "den = 10 ** (len(frac) + 1)", ("tests/test_riemann_roch.py",)),
+    ("coefficient-negative-exponent", RIEMANN_ROCH, "den *= 10**-k", "num *= 10**-k", ("tests/test_riemann_roch.py",)),
+    ("exponent-guard-underscores", RIEMANN_ROCH, '.replace("_", "").lstrip("+-0")', '.lstrip("+-0")', ("tests/test_riemann_roch.py",)),
     ("show-int-limit", ERRORS, "n.bit_length() <= 3 * limit", "n.bit_length() <= 4 * limit", ("tests/test_context_parse.py",)),
 )
 

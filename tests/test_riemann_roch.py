@@ -1,8 +1,11 @@
 import math
+import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basediv import (
     CapabilityError,
@@ -311,3 +314,111 @@ def test_json_round_trip():
         deformation_from_json_dict({"kind": "K3n"})
     with pytest.raises(StructuralError, match='"kind"'):
         deformation_from_json_dict({"kind": ["K3n"], "n": 1})
+
+
+# ASCII, Arabic-Indic, Devanagari and fullwidth decimal digits
+DIGITS = "0123456789\u0660\u0661\u0662\u0669\u0966\u096f\uff10\uff19"
+SPACES = " \t\n\u00a0\u2003\x1c"
+# no digit and no e: superscript two and vulgar one half are numeric but not decimal
+JUNK = "xd\u00b2\u00bd\u200b_.,/+- "
+
+
+def digit_groups(max_digits: int):
+    """Digits with underscores anywhere (so also misplaced), at most max_digits digits."""
+    return st.text(DIGITS + "_", max_size=max_digits + 3).filter(lambda g: sum(ch != "_" for ch in g) <= max_digits)
+
+
+@st.composite
+def coefficient_texts(draw):
+    """Strings shaped like Fraction's grammar: [ws][sign]a[/b | .b][e[sign]c][ws],
+    sometimes with junk spliced in; the exponent c has at most four digits and
+    nothing after the e holds another digit."""
+    text = (
+        draw(st.text(SPACES, max_size=2))
+        + draw(st.sampled_from(["", "", "+", "-", "+-"]))
+        + draw(digit_groups(8))
+        + draw(st.one_of(st.just(""), st.sampled_from("/.").flatmap(lambda c: digit_groups(8).map(lambda g: c + g))))
+        + draw(st.one_of(st.just(""), st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]), digit_groups(4)).map("".join)))
+        + draw(st.text(SPACES, max_size=2))
+    )
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.text(JUNK, min_size=1, max_size=2)) + text[i:]
+    return text
+
+
+def fraction_reading(text):
+    try:
+        f = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return f.numerator, f.denominator
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=coefficient_texts())
+@example(text=" 3/4 ")
+@example(text=".5")
+@example(text="5.")
+@example(text="\u0661/\u0662")
+@example(text="1_0")
+@example(text="1.d")
+@example(text="1/0")
+@example(text="+-1")
+@example(text="1e")
+@example(text="e5")
+@example(text="_1")
+@example(text="1_")
+@example(text="-1.25e-3")
+@example(text="\t+1_2.0_5E+2\n")
+def test_coefficient_strings_read_as_fraction_reads_them(text):
+    """A Generic coefficient string gives Fraction(text) as an integer pair on
+    both paths, or a typed refusal on each where Fraction refuses it."""
+    if "_" in text and sys.version_info < (3, 11):
+        return  # Fraction reads underscores from Python 3.11 on (PEP 515); the reader always does
+    expected = fraction_reading(text)
+    data = {"kind": GENERIC, "n": 1, "coeffs": [text, 1]}
+    if expected is None:
+        with pytest.raises(DomainError, match=r"^coeffs\[0\] must be a rational number, got "):
+            RRPolynomial([text, 1])
+        with pytest.raises(StructuralError, match=r"^deformation\.coeffs\[0\] must be a rational number, got "):
+            deformation_from_json_dict(data)
+        return
+    rr = RRPolynomial([text, 1])
+    assert (rr.nums[0], rr.den) == expected
+    t = deformation_from_json_dict(data)
+    assert (t.rr.nums[0], t.rr.den) == expected
+    # str() refuses an int of more than sys.get_int_max_str_digits() digits, on either side
+    if max(abs(expected[0]), expected[1]).bit_length() <= 3 * sys.get_int_max_str_digits():
+        assert t.to_json_dict()["coeffs"] == [str(Fraction(text)), "1"]
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1e1_000_000", "1e2_000_000", "1E+1_0000"])
+def test_long_decimal_exponent_is_refused_at_once(text):
+    """Underscores do not hide an exponent's digits, on either path."""
+    calls = [
+        (lambda: make_type(GENERIC, 1, coeffs=[text, 1]), "coeffs"),
+        (lambda: deformation_from_json_dict({"kind": GENERIC, "n": 1, "coeffs": [text, 1]}), "deformation.coeffs"),
+    ]
+    for call, path in calls:
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match=rf"^{path}\[0\] has a decimal exponent of more than four digits, got "):
+            call()
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "coefficient",
+    ["x", "1/0", math.nan, math.inf, -math.inf, Decimal("NaN"), None, [1]],
+    ids=["word", "zero-denominator", "nan", "inf", "minus-inf", "decimal-nan", "none", "list"],
+)
+def test_unreadable_library_coefficient_is_a_domain_error(coefficient):
+    with pytest.raises(DomainError, match=r"^coeffs\[0\] must be a rational number, got "):
+        make_type(GENERIC, 1, coeffs=[coefficient, 1])
+
+
+def test_library_coefficients_of_other_types_are_exact():
+    """Fractions, floats and Decimals are read exactly, as Fraction(c) reads them;
+    a bool is the int it equals."""
+    rr = RRPolynomial([Fraction(-6, 4), 0.375, Decimal("2.50"), True])
+    assert rr.coeffs == (Fraction(-3, 2), Fraction(3, 8), Fraction(5, 2), Fraction(1))
