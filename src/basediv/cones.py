@@ -29,7 +29,7 @@ import math
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError, require_int, show_int, show_vec
+from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, IntegralityError, StructuralError, require_int, show_int, show_value, show_vec
 from .lattice import (
     Lattice,
     Vec,
@@ -141,36 +141,18 @@ def _divisibility_holds(qd: int, dv: int) -> bool:
 
 
 def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextCheck]:
-    checks = []
     shown = show_vec(d)
     if vec_is_zero(d):
         return [ContextCheck(f"{label}-nonzero", False, f"declared ped {shown} is the zero vector")]
-    qd = square(lat, d)
-    checks.append(
-        ContextCheck(
-            f"{label}-negative-square",
-            qd < 0,
-            f"q({shown}) = {show_int(qd)}" + ("" if qd < 0 else " but a prime-exceptional class needs q < 0"),
-        )
-    )
-    checks.append(
-        ContextCheck(
-            f"{label}-primitive",
-            math.gcd(*d) == 1,
-            f"gcd of coordinates is {show_int(math.gcd(*d))}",
-        )
-    )
-    pa = pairing(lat, ample, d)
-    checks.append(
-        ContextCheck(
-            f"{label}-ample-pairing",
-            pa > 0,
-            f"(ample, {shown}) = {show_int(pa)}"
-            + ("" if pa > 0 else " but effective classes must pair positively with an ample class"),
-        )
-    )
+    g = gram_image(lat, d)  # q(D), (ample, D) and div(D) all read G*D
+    qd, pa, content = dot(d, g), dot(ample, g), math.gcd(*d)
+    checks = [
+        ContextCheck(f"{label}-negative-square", qd < 0, f"q({shown}) = {show_int(qd)}" + ("" if qd < 0 else " but a prime-exceptional class needs q < 0")),
+        ContextCheck(f"{label}-primitive", content == 1, f"gcd of coordinates is {show_int(content)}"),
+        ContextCheck(f"{label}-ample-pairing", pa > 0, f"(ample, {shown}) = {show_int(pa)}" + ("" if pa > 0 else " but effective classes must pair positively with an ample class")),
+    ]
     if qd < 0:
-        dv = divisibility(lat, d)
+        dv = math.gcd(*g)
         ok = _divisibility_holds(qd, dv)
         detail = f"q(D) = {show_int(qd)}, div(D) = {show_int(dv)}"
         if not ok:
@@ -316,12 +298,12 @@ def validate_context_payload(data) -> tuple[GeometricContext | None, list[Contex
         checks.append(ContextCheck("deformation", True, "absent (classification unavailable)"))
     strong_rlf, note = data.get("strong_rlf", False), data.get("note")
     if not isinstance(strong_rlf, bool):
-        error = StructuralError(f'context "strong_rlf" must be a JSON boolean, got {strong_rlf!r}')
+        error = StructuralError(f'context "strong_rlf" must be a JSON boolean, got {show_value(strong_rlf)}')
         _fail(checks, "strong_rlf", error)
     ample, peds, walls = data["ample"], data.get("peds", ()), data.get("walls", ())
     checks.extend(run_context_checks(lat, ample, peds, walls))
     if "note" in data and not isinstance(note, str):
-        _fail(checks, "note", StructuralError(f"note must be a string, got {note!r}"))
+        _fail(checks, "note", StructuralError(f"note must be a string, got {show_value(note)}"))
     if not all(c.passed for c in checks):
         return None, checks
     ctx = GeometricContext.__new__(GeometricContext)

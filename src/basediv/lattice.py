@@ -99,7 +99,7 @@ class Lattice:
             raise StructuralError('lattice JSON must be an object with a "gram" key')
         even = data.get("even")
         if even is not None and not isinstance(even, bool):
-            raise StructuralError(f'lattice "even" must be a JSON boolean or null, got {even!r}')
+            raise StructuralError(f'lattice "even" must be a JSON boolean or null, got {show_value(even)}')
         gram = as_array(data["gram"], "lattice.gram")
         return cls([as_array(row, f"lattice.gram[{i}]") for i, row in enumerate(gram)], even)
 

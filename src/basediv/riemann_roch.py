@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 
-from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError, show_int, show_value
+from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError, require_int, show_int, show_value
 from .lattice import as_array
 
 K3N = "K3n"
@@ -35,9 +35,10 @@ GENERIC = "Generic"
 
 _KINDS = (K3N, KUMN, GENERIC)
 
-# The monotonicity walk refuses to visit more even grid points than this.
-# Only a Generic polynomial with a huge root bound and a huge q(H) gets near.
-MONO_WALK_LIMIT = 10**6
+# check_strict_monotonic refuses a polynomial whose root isolation needs more
+# Taylor-shift operations than this, each weighed by the 64-bit words of its
+# operands; only near-root clusters come near (0.3 s to refuse, 2-vCPU Xeon).
+MONO_WORK_LIMIT = 10**8
 
 # make_type refuses degrees above this: expanding and certifying the polynomial
 # costs about n^3 digit operations (0.25 s at n = 500, 1.5 s at n = 1000).
@@ -47,8 +48,6 @@ HALF_DIM_LIMIT = 500
 # this: at the limit it takes 0.3 s at n = 500, 0.4 ms at n = 1 (2-vCPU Xeon).
 RR_EVAL_BITS_LIMIT = 2**19
 
-_UNSET = object()
-
 
 class RRPolynomial:
     """Polynomial sum b_i x^i with exact rational coefficients, b_n > 0.
@@ -56,11 +55,9 @@ class RRPolynomial:
     The state is ``nums`` and ``den``: the b_i as integer numerators over
     their least common denominator, in lowest terms, which is what
     evaluation uses.  ``coeffs`` makes the b_i as Fractions on demand.
-    ``root_bound`` is an integer B >= 0 such that the step p(q + 2) - p(q)
-    is positive for every real q > B.
     """
 
-    __slots__ = ("nums", "den", "root_bound")
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable):
         self._store(*_over_lcm([_coefficient(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]))
@@ -76,7 +73,6 @@ class RRPolynomial:
         g = math.gcd(den, *nums)
         self.den = den // g
         self.nums = tuple(c // g for c in nums)
-        self.root_bound = _step_root_bound(self.nums)
 
     @property
     def coeffs(self) -> tuple:
@@ -107,11 +103,11 @@ class RRPolynomial:
         return hash((self.nums, self.den))
 
     def _texts(self) -> list[str]:
-        """The b_i as str(Fraction) writes them: "num/den" in lowest terms, or "num"."""
+        """The b_i as str(Fraction) writes them, with each integer shown by show_int."""
         out = []
         for c in self.nums:
             g = math.gcd(c, self.den)
-            out.append(_show_pair(c // g, self.den // g, str))
+            out.append(_show_pair(c // g, self.den // g, show_int))
         return out
 
     def __repr__(self) -> str:
@@ -134,43 +130,14 @@ def _show_pair(num: int, den: int, show) -> str:
     return show(num) if den == 1 else f"{show(num)}/{show(den)}"
 
 
-def _step_root_bound(nums: Sequence[int]) -> int:
-    """An integer B >= 0 with p(q + 2) - p(q) > 0 for every real q > B.
-
-    The step polynomial a_d x^d + ... + a_0 (d = n - 1, a_d = 2n * den * b_n
-    > 0) is found by a Taylor shift of the numerators.  With no negative
-    coefficient it is positive for q > 0, so B = 0.  Otherwise B is
-    Fujiwara's bound 2 * max(|a_(d-j)/a_d|^(1/j), |a_0/(2 a_d)|^(1/d)) on the
-    moduli of all its roots, rounded up to a power of two so that it is
-    found in integers.
-    """
-    shifted = list(nums)
-    n = len(nums) - 1
-    for i in range(n):  # shifted becomes the numerators of p(x + 2)
-        for j in range(n - 1, i - 1, -1):
-            shifted[j] += 2 * shifted[j + 1]
-    step = [a - b for a, b in zip(shifted[:-1], nums)]
-    if all(a >= 0 for a in step):
-        return 0
-    d = len(step) - 1
-    lead = step[-1]
-    k = 0  # least k with 2^(k*j) >= each ratio
-    for j in range(1, d + 1):
-        need = abs(step[d - j])
-        scale = 2 * lead if j == d else lead
-        while scale << (k * j) < need:
-            k += 1
-    return 2 << k
-
-
 class DeformationType:
     """Registry entry: a kind tag, the half-dimension n, and the RR polynomial.
 
     The Fujiki constant is informational, a Fraction; when not supplied it
     is derived on demand from the leading coefficient via C_X = (2n)! * b_n.
     The only other state is the monotonicity verdict for the whole even grid,
-    a pure function of the polynomial that ``check_strict_monotonic`` writes
-    once, the first time it is asked about a q_max at or beyond the horizon.
+    the first event of ``_first_event``: a pure function of the polynomial
+    that ``check_strict_monotonic`` writes once, on its first call.
     """
 
     __slots__ = ("kind", "n", "rr", "_fujiki", "_verdict")
@@ -184,14 +151,14 @@ class DeformationType:
             raise DomainError(f"RR polynomial must have degree exactly n={n}, got degree {rr.degree}")
         if fujiki is not None:
             from fractions import Fraction
-            fujiki = Fraction(fujiki)
+            fujiki = Fraction(*_coefficient(fujiki, "fujiki"))
             if fujiki <= 0:
                 raise DomainError("Fujiki constant must be positive")
         self.kind = kind
         self.n = n
         self.rr = rr
         self._fujiki = fujiki
-        self._verdict = _UNSET
+        self._verdict = None
 
     @property
     def fujiki(self):
@@ -205,11 +172,11 @@ class DeformationType:
         return f"DeformationType({self.kind}, n={self.n})"
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "coeffs": self.rr._texts(),
-        }
+        coeffs = self.rr._texts()
+        for i, text in enumerate(coeffs):
+            if "<" in text:
+                raise CapabilityError(f"coeffs[{i}] = {text} cannot be written: str() refuses an integer that long")
+        return {"kind": self.kind, "n": self.n, "coeffs": coeffs}
 
 
 def _half_q_binomial(shift: int, n: int) -> list[int]:
@@ -227,7 +194,7 @@ _registry: dict[tuple[str, int], DeformationType] = {}
 def _check_degree(n: int, count: int) -> None:
     degree = max(n, count - 1)
     if degree > HALF_DIM_LIMIT:
-        raise CapabilityError(f"RR polynomial of degree {degree} exceeds the half-dimension limit {HALF_DIM_LIMIT}")
+        raise CapabilityError(f"RR polynomial of degree {show_int(degree)} exceeds the half-dimension limit {HALF_DIM_LIMIT}")
 
 
 def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) -> DeformationType:
@@ -236,12 +203,17 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) ->
     K3n requires n >= 1 and Kumn requires n >= 2; Kum^1 is rejected because
     the closed form at n=1 disagrees with the K3 surface polynomial, so a
     2-dimensional "Kum" type would silently produce wrong chi values.
-    Generic takes explicit coefficients b_0..b_n with b_n > 0: ints, strings
-    that Fraction(str) reads, or values that Fraction(c) reads; any other
-    coefficient raises DomainError.  Degrees above HALF_DIM_LIMIT, and a
-    string with a decimal exponent of more than four digits, raise
-    CapabilityError before anything is expanded.
+    Generic takes explicit coefficients b_0..b_n with b_n > 0, in a list or
+    tuple: ints, strings that Fraction(str) reads, or values that Fraction(c)
+    reads; any other coefficient raises DomainError.  Degrees above
+    HALF_DIM_LIMIT, and a string or Decimal with a decimal exponent of more
+    than four digits, raise CapabilityError before anything is expanded.
     """
+    if kind not in _KINDS:
+        raise DomainError(f"unknown deformation kind {show_value(kind)}")
+    require_int("n", n)
+    if coeffs is not None and not isinstance(coeffs, (list, tuple)):
+        raise DomainError(f"coeffs must be a list or tuple, got {show_value(coeffs)}")
     _check_degree(n, len(coeffs or ()))
     if kind == GENERIC:
         if coeffs is None:
@@ -257,12 +229,10 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) ->
         if n < 1:
             raise DomainError("K3n requires n >= 1")
         shift, factor = n + 1, 1
-    elif kind == KUMN:
+    else:
         if n < 2:
             raise DomainError("Kumn requires n >= 2 (Kum^1 is not a registered type)")
         shift, factor = n, n + 1
-    else:
-        raise DomainError(f"unknown deformation kind {kind!r}")
     rr = RRPolynomial._over([factor * c for c in _half_q_binomial(shift, n)], 2**n * math.factorial(n))
     t = DeformationType(kind, n, rr, fujiki)
     if fujiki is None:
@@ -298,55 +268,99 @@ def _value(rr: RRPolynomial, q: int) -> int:
     return val
 
 
-def _first_event(rr: RRPolynomial, upto: int) -> tuple[int, str | None] | None:
-    """The first even q in [0, upto] where rr is not an integer, as
-    (q, message), or is not above its value at q - 2, as (q, None)."""
-    prev = None
-    for q in range(0, upto + 1, 2):
+def _taylor_shift(c: list[int], a: int) -> list[int]:
+    """c, changed in place into the coefficients of c(x + a)."""
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def _step(nums: Sequence[int]) -> list[int]:
+    """The coefficients of S(u) = den * (p(2u + 2) - p(2u)), of degree n - 1."""
+    scaled = [c << i for i, c in enumerate(nums)]  # den * p(2u)
+    return [a - b for a, b in zip(_taylor_shift(scaled[:], 1), scaled[:-1])]
+
+
+def _root_bound(s: Sequence[int]) -> int:
+    """An integer U >= 0 with s(u) > 0 for every real u > U, given s_d > 0: 0 with
+    no negative coefficient, else Fujiwara's bound 2 * max(|s_(d-j)/s_d|^(1/j),
+    |s_0/(2 s_d)|^(1/d)) on the moduli of the roots, rounded up to a power of two."""
+    if min(s) >= 0:
+        return 0
+    d = len(s) - 1
+    k = 0  # least k with 2^(k*j) >= each ratio
+    for j in range(1, d + 1):
+        scale = 2 * s[d] if j == d else s[d]
+        k = max(k, (abs(s[d - j]).bit_length() - scale.bit_length()) // j)  # no smaller k passes
+        while scale << (k * j) < abs(s[d - j]):
+            k += 1
+    return 2 << k
+
+
+def _first_event(rr: RRPolynomial, n: int) -> tuple[float, str | None]:
+    """The first even q where rr is not an integer, as (q, message), or is not
+    above its value at q - 2, as (q, None), a tie going to the first; else (inf, None).
+
+    rr, of degree n, is an integer on every even q >= 0 once it is on 0, ..., 2n.
+    A drop at q = 2u + 2 is a u with S(u) <= 0 (S of _step), none if every b_i >= 0
+    (as for K3^[n] and Kum^n), since then every coefficient of S is positive.
+    Else [0, _root_bound(S)] is searched leftmost first, halving integer intervals
+    [a, b] on a stack; once S(a) > 0, [a, b] is pruned when S(b) > 0 and Descartes'
+    rule finds no sign variation in (1 + x)^d S((a + bx)/(1 + x)), so no root of S
+    in (a, b) (Collins and Akritas, SYMSAC 1976); else [a + 1, b] is split.
+    """
+    event, hi = (math.inf, None), math.inf
+    for q in range(0, 2 * n + 1, 2):
         try:
-            val = _value(rr, q)
+            _value(rr, q)
         except ConsistencyError as exc:
-            return q, str(exc)
-        if prev is not None and val <= prev:
-            return q, None
-        prev = val
-    return None
+            event, hi = (q, str(exc)), q // 2 - 2
+            break
+    if min(rr.nums) >= 0:
+        return event
+    s = _step(rr.nums)
+    d, size, work = len(s) - 1, max(map(abs, s)).bit_length(), 0
+    stack = [(0, min(hi, _root_bound(s)))]
+    while stack:
+        a, b = stack.pop()
+        if a > b:
+            continue
+        if rr.numerator(2 * a + 2) - rr.numerator(2 * a) <= 0:
+            return 2 * a + 2, None
+        if a == b:
+            continue
+        if rr.numerator(2 * b + 2) - rr.numerator(2 * b) > 0:
+            words = 1 + b.bit_length() // 64
+            work += d * (d + 1) * words * (1 + size // 64 + d * words)
+            if work > MONO_WORK_LIMIT:
+                raise CapabilityError(f"isolating the roots of the RR step of degree {d} needs more than {MONO_WORK_LIMIT} Taylor-shift operations")
+            t = _taylor_shift(s[:], a)
+            if min(_taylor_shift([c * (b - a) ** i for i, c in enumerate(t)][::-1], 1)) >= 0:
+                continue
+        mid = (a + b) // 2
+        stack += [(mid + 1, b), (a + 1, mid)]
+    return event
 
 
 def check_strict_monotonic(t: DeformationType, q_max: int) -> bool:
     """True iff rr_eval is strictly increasing on the even grid {0, 2, ..., q_max}.
 
-    Walks the grid in order, so the first event wins: a value not above its
-    predecessor returns False, a non-integral value raises ConsistencyError.
-    No event lies beyond the horizon max(2n, B + 2), with B the root bound of
-    the step p(q + 2) - p(q): p takes integer values on every even q >= 0 once
-    it does at 0, 2, ..., 2n, and the step is positive above B.  Once q_max
-    reaches the horizon the verdict for the whole grid is computed and kept
-    on the type, so the cost does not grow with q_max and repeat calls are
-    O(1); below the horizon only the grid up to q_max is walked.
+    The first event on the whole grid, found once per type by ``_first_event``
+    and kept, decides: a value not above its predecessor returns False, a
+    non-integral value raises ConsistencyError.  The cost does not depend on
+    q_max; a step whose isolation passes MONO_WORK_LIMIT is refused at any q_max.
     """
+    if type(q_max) is not int:  # refuses bool too, in a third of isinstance's time: every classify calls this
+        raise DomainError(f"q_max must be an integer, got {show_value(q_max)}")
     if q_max < 0:
         raise DomainError("q_max must be nonnegative")
-    q_max -= q_max % 2
-    if t._verdict is _UNSET:
-        horizon = max(2 * t.n, t.rr.root_bound + 2)
-        upto = min(q_max, horizon)
-        if upto // 2 + 1 > MONO_WALK_LIMIT:
-            raise CapabilityError(
-                f"certifying RR monotonicity up to q = {upto} walks {upto // 2 + 1} grid points;"
-                f" the limit is {MONO_WALK_LIMIT}"
-            )
-        if upto < horizon:
-            event = _first_event(t.rr, upto)
-        else:
-            event = t._verdict = _first_event(t.rr, horizon)
-    else:
-        event = t._verdict
-    if event is None or event[0] > q_max:
-        return True
-    if event[1] is not None:
-        raise ConsistencyError(event[1])
-    return False
+    if t._verdict is None:
+        t._verdict = _first_event(t.rr, t.n)
+    q, message = t._verdict
+    if q <= q_max and message is not None:
+        raise ConsistencyError(message)
+    return q > q_max
 
 
 def invert_binomial(value: int, n: int) -> int | None:
@@ -414,7 +428,11 @@ def _coefficient(c, path: str) -> tuple[int, int]:
     if isinstance(c, str):
         pair = _read_pair(c, path)
     else:
+        from decimal import Decimal
         from fractions import Fraction
+        # Fraction(c) expands a Decimal's exponent, as it does a string's
+        if isinstance(c, Decimal) and c.is_finite() and abs(c.as_tuple().exponent) >= 10**4:
+            raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {c!r}")
         try:
             f = Fraction(c)
             pair = f.numerator, f.denominator

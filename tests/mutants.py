@@ -53,8 +53,13 @@ MUTANTS = (
     ("walk-height-column", CONES, "height - a * d_row[0]", "height - a * d_row[1]", WALK_TESTS),
     ("walk-descent", CONES, "if not (0 < new_height < height):", "if not (new_height < height):", WALK_TESTS),
     # the guards and helpers below the classifier
-    ("monotonic-horizon", RIEMANN_ROCH, "horizon = max(2 * t.n, t.rr.root_bound + 2)", "horizon = t.rr.root_bound + 2", ("tests/test_riemann_roch.py",)),
-    ("monotonic-horizon-slack", RIEMANN_ROCH, "t.rr.root_bound + 2)", "t.rr.root_bound)", ("tests/test_riemann_roch.py",)),
+    # the monotonicity certificate: integrality up to 2n, the tie, and the root isolation
+    ("monotonic-integrality-end", RIEMANN_ROCH, "range(0, 2 * n + 1, 2)", "range(0, 2 * n - 1, 2)", ("tests/test_riemann_roch.py",)),
+    ("monotonic-tie", RIEMANN_ROCH, "q // 2 - 2", "q // 2 - 1", ("tests/test_riemann_roch.py",)),
+    ("descartes-prune", RIEMANN_ROCH, "if min(_taylor_shift([c * (b - a) ** i for i, c in enumerate(t)][::-1], 1)) >= 0:", "if True:", ("tests/test_riemann_roch.py",)),
+    ("pruned-right-end", RIEMANN_ROCH, "rr.numerator(2 * b) > 0:", "rr.numerator(2 * b) >= 0:", ("tests/test_riemann_roch.py",)),
+    ("isolation-split", RIEMANN_ROCH, "(a + 1, mid)]", "(a + 2, mid)]", ("tests/test_riemann_roch.py",)),
+    ("isolation-work-guard", RIEMANN_ROCH, "if work > MONO_WORK_LIMIT:", "if work >= MONO_WORK_LIMIT:", ("tests/test_riemann_roch.py",)),
     ("rr-eval-guard", RIEMANN_ROCH, "if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:", "if q.bit_length() > RR_EVAL_BITS_LIMIT:", ("tests/test_riemann_roch.py",)),
     ("last-coordinate-remainder", LATTICE, "if rem == 0 and -bound <= x <= bound:", "if -bound <= x <= bound:", ("tests/test_lattice.py",)),
     ("completions-memo-key", LATTICE, "memo[i, c] = out", "memo[i, 0] = out", ("tests/test_lattice.py",)),

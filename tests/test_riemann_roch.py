@@ -22,7 +22,8 @@ from basediv import (
     make_type,
     rr_eval,
 )
-from basediv.riemann_roch import RR_EVAL_BITS_LIMIT
+from basediv import riemann_roch
+from basediv.riemann_roch import RR_EVAL_BITS_LIMIT, _root_bound, _step
 
 
 def binom_product(top: int, n: int) -> int:
@@ -158,8 +159,29 @@ def dipping_cubics(draw):
     return [Fraction(b), Fraction(3 * a * a - e, 2) + third, Fraction(-3 * a, 4), Fraction(1, 8)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(random_polynomials(), dipping_cubics()), st.randoms(use_true_random=False))
+def coeffs_with_step(s, b0=0):
+    """b_0..b_n of the p with p(0) = b0 and p(2u + 2) - p(2u) = s(u), for s of degree n - 1:
+    p(2u) = b0 + sum_j (Delta^j s)(0) * C(u, j + 1) by Newton's forward differences."""
+    values = [sum(c * u**i for i, c in enumerate(s)) for u in range(len(s))]
+    p = [Fraction(b0)] + [Fraction(0)] * len(s)
+    binomial = [Fraction(1)]  # C(u, j) as a polynomial in u
+    for j in range(len(s)):
+        binomial = [(y - j * x) / (j + 1) for x, y in zip(binomial + [0], [0] + binomial)]  # times (u - j)/(j + 1)
+        p = [a + values[0] * b for a, b in zip(p, binomial + [0] * (len(p) - len(binomial)))]
+        values = [y - x for x, y in zip(values, values[1:])]
+    return [c / 2**i for i, c in enumerate(p)]
+
+
+@st.composite
+def double_root_steps(draw):
+    """Steps c(u - a)^2 in u = q/2: 0 at the integer u = a and positive elsewhere,
+    so the only event is p(2a + 2) = p(2a), at a double root the prune must not skip."""
+    a, c, b = draw(st.integers(0, 520)), draw(st.integers(1, 5)), draw(st.integers(-5, 5))
+    return coeffs_with_step([c * a * a, -2 * c * a, c], b)
+
+
+@settings(max_examples=90, deadline=None)
+@given(st.one_of(random_polynomials(), dipping_cubics(), double_root_steps()), st.randoms(use_true_random=False))
 def test_certificate_matches_brute_force_walk(coeffs, rnd):
     n = len(coeffs) - 1
     expected = brute_force_walk(coeffs, 1000)
@@ -175,22 +197,44 @@ def test_certificate_matches_brute_force_walk(coeffs, rnd):
 
 
 def test_step_root_bound_is_fujiwaras():
-    # the registered families have no negative step coefficient, so B = 0
-    assert make_type(K3N, 5).rr.root_bound == 0
-    # step q - 100: Fujiwara's bound is exactly 100, rounded up to 128
-    assert RRPolynomial([0, Fraction(-101, 2), Fraction(1, 4)]).root_bound == 128
-    # step q^2 - 10q + 1: Fujiwara's bound is 2 * max(10, 1/sqrt(2)) = 20, rounded up to 32
-    assert RRPolynomial([0, Fraction(35, 6), -3, Fraction(1, 6)]).root_bound == 32
+    # the registered families have no negative step coefficient, so U = 0
+    assert _root_bound(_step(make_type(K3N, 5).rr.nums)) == 0
+    # step q - 100, so S(u) = 4 * (2u - 100): Fujiwara's bound is exactly 50, rounded up to 64
+    assert _step(RRPolynomial([0, Fraction(-101, 2), Fraction(1, 4)]).nums) == [-400, 8]
+    assert _root_bound([-400, 8]) == 64
+    # step q^2 - 10q + 1, so S(u) = 6 * (4u^2 - 20u + 1): Fujiwara's bound is
+    # 2 * max(5, 1/sqrt(8)) = 10, rounded up to 16
+    assert _step(RRPolynomial([0, Fraction(35, 6), -3, Fraction(1, 6)]).nums) == [6, -120, 24]
+    assert _root_bound([6, -120, 24]) == 16
 
 
 def test_event_just_past_a_tight_root_bound():
     # step (q - 8)^2: positive for every real q > 8 but 0 at q = 8, so the
-    # only event is p(10) = p(8); B = 8 is the tightest bound the contract allows
+    # only event is p(10) = p(8), at the double root u = 4 of S
     g = make_type(GENERIC, 3, coeffs=[1, Fraction(121, 3), Fraction(-9, 2), Fraction(1, 6)])
-    assert g.rr.root_bound >= 8
-    g.rr.root_bound = 8
     assert check_strict_monotonic(g, 8)
+    assert not check_strict_monotonic(g, 10)
     assert not check_strict_monotonic(g, 10**6)
+
+
+def test_drop_right_after_the_first_rise():
+    # step (u - 1)(u - 5) in u = q/2: p(2) > p(0), then p(4) = p(2); S(1) = 0 starts
+    # the first half [1, 8] of [0, 16] after S(0) = 5 > 0
+    g = make_type(GENERIC, 3, coeffs=coeffs_with_step([5, -6, 1]))
+    assert check_strict_monotonic(g, 2)
+    assert not check_strict_monotonic(g, 4)
+
+
+def test_non_integral_value_comes_before_a_drop_at_the_same_q():
+    # p(q) = q^2 - 7q/3: p(2) = -2/3 is below p(0) = 0 and not an integer
+    g = make_type(GENERIC, 2, coeffs=[0, Fraction(-7, 3), 1])
+    assert check_strict_monotonic(g, 0)
+    with pytest.raises(ConsistencyError, match="q=2"):
+        check_strict_monotonic(g, 2)
+    # K3^[3] plus q(q-2)(q-4)/144 minus 4q drops at q = 2 (10 - 8 < 4), before its
+    # first non-integral value at q = 6
+    h = make_type(GENERIC, 3, coeffs=[4, Fraction(20, 9) - 4, Fraction(1, 3), Fraction(1, 36)])
+    assert not check_strict_monotonic(h, 10**6)
 
 
 def test_first_non_integral_value_at_q_equal_to_2n():
@@ -202,11 +246,45 @@ def test_first_non_integral_value_at_q_equal_to_2n():
 
 
 def test_monotonicity_walk_guard():
-    # a root bound near 1e20 keeps the verdict out of reach of a full walk
+    # a root bound near 1e20 once kept a walk from the verdict; the drop is at q = 2
     g = make_type(GENERIC, 2, coeffs=[0, -(10**20), 1])
-    assert not check_strict_monotonic(g, 40)  # only the asked grid is walked
-    with pytest.raises(CapabilityError):
-        check_strict_monotonic(g, 10**15)
+    assert not check_strict_monotonic(g, 40)
+    assert not check_strict_monotonic(g, 10**15)
+
+
+def test_step_without_real_root_certifies_at_once():
+    # step q^2 - 2e7 q + 1e14 + 1 has a negative discriminant, and Fujiwara's bound is 2^26
+    coeffs = ["0", "300000060000005/6", "-10000001/2", "1/6"]
+    start = time.perf_counter()
+    assert check_strict_monotonic(make_type(GENERIC, 3, coeffs=coeffs), 10**12)
+    assert time.perf_counter() - start < 0.01
+    assert check_strict_monotonic(make_type(GENERIC, 3, coeffs=coeffs), 2_000_000)
+
+
+def test_isolation_work_guard(monkeypatch):
+    # S(u) = 6(u^2 - u + 1) has no real root and U = 2: one Descartes test, on
+    # (0, 2), weighing d(d + 1) * words * (1 + size // 64 + d * words) = 6 * 1 * 3
+    coeffs = coeffs_with_step([6, -6, 6])
+    monkeypatch.setattr(riemann_roch, "MONO_WORK_LIMIT", 18)
+    assert check_strict_monotonic(make_type(GENERIC, 3, coeffs=coeffs), 10**9)
+    monkeypatch.setattr(riemann_roch, "MONO_WORK_LIMIT", 17)
+    with pytest.raises(CapabilityError, match="more than 17 Taylor-shift operations"):
+        check_strict_monotonic(make_type(GENERIC, 3, coeffs=coeffs), 10**9)
+
+
+def test_clustered_near_roots_are_refused_at_every_q_max():
+    # S(u) is a product of 20 factors (u - r)^2 + 1 with 60-bit r: no real root, but the
+    # Descartes tests see two sign variations near each r until the interval is narrow
+    s = [1]
+    for k in range(20):
+        r = (1 << 59) + 7919**3 * k
+        s = [a - 2 * r * b + (r * r + 1) * c for a, b, c in zip([0, 0] + s, [0] + s + [0], s + [0, 0])]
+    g = make_type(GENERIC, 41, coeffs=coeffs_with_step(s))
+    for q_max in (0, 10**30):
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="Taylor-shift operations"):
+            check_strict_monotonic(g, q_max)
+        assert time.perf_counter() - start < 2
 
 
 def test_large_n_types_certify_with_exact_values():
@@ -422,3 +500,34 @@ def test_library_coefficients_of_other_types_are_exact():
     a bool is the int it equals."""
     rr = RRPolynomial([Fraction(-6, 4), 0.375, Decimal("2.50"), True])
     assert rr.coeffs == (Fraction(-3, 2), Fraction(3, 8), Fraction(5, 2), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: make_type(GENERIC, 1, coeffs=iter([1, 1])), (DomainError, r"^coeffs must be a list or tuple, got <list_iterator object")),
+        (lambda: make_type(GENERIC, 1, coeffs=5), (DomainError, r"^coeffs must be a list or tuple, got 5$")),
+        (
+            lambda: make_type(GENERIC, 1, coeffs=["1e5000", 1]).to_json_dict(),
+            (CapabilityError, r"^coeffs\[0\] = <integer of 5001 digits> cannot be written: str\(\) refuses an integer that long$"),
+        ),
+        (lambda: repr(make_type(GENERIC, 1, coeffs=["1e5000", 1]).rr), "RRPolynomial(['<integer of 5001 digits>', '1'])"),
+    ],
+    ids=["iterator", "int", "json-of-a-long-coefficient", "repr-of-a-long-coefficient"],
+)
+def test_generic_coefficients_get_typed_errors(call, expected):
+    """Coefficient containers other than a list or tuple, and coefficients too long
+    for str(), give a BasedivError or a shown value, never Python's own error."""
+    if isinstance(expected, str):
+        assert call() == expected
+    else:
+        with pytest.raises(expected[0], match=expected[1]):
+            call()
+
+
+@pytest.mark.parametrize("text", ["1e1000000", "1e-1000000"])
+def test_long_decimal_exponent_of_a_decimal_is_refused_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError, match=r"^coeffs\[0\] has a decimal exponent of more than four digits, got Decimal\('1E[+-]1000000'\)$"):
+        make_type(GENERIC, 1, coeffs=[Decimal(text), 1])
+    assert time.perf_counter() - start < 0.1

@@ -1,0 +1,137 @@
+"""Only BasedivError escapes the library's parsing and certifying entry points,
+and each call returns within a time budget, on huge, degenerate and wrongly
+typed inputs.
+
+The deformation types handed to rr_eval and check_strict_monotonic are built
+ones; every other argument is drawn.  A call that returns also has its result
+written back (repr and to_json_dict), since that is where long integers used
+to surface as Python's ValueError.
+"""
+
+import copy
+import json
+import time
+from decimal import Decimal
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+from basediv import (
+    BasedivError,
+    GENERIC,
+    GeometricContext,
+    K3N,
+    KUMN,
+    check_strict_monotonic,
+    deformation_from_json_dict,
+    make_type,
+    rr_eval,
+)
+
+from conftest import fixture_path
+
+BUDGET_S = 2.0
+HUGE = 10**5000  # more digits than str() writes
+CONTEXT = json.loads(fixture_path("k3n2_rank3.json").read_text())
+
+WRONG = st.sampled_from(
+    [None, True, 1.5, float("nan"), float("inf"), "2", "x", b"2", (), [], [2], {}, {"n": 2}, Decimal("sNaN"), Fraction(1, 2), object()]
+)
+# a huge value is made by a map, since a strategy that holds it cannot be shown
+HUGE_INTS = st.sampled_from([1, -1, 2]).map(lambda k: k * HUGE if k != 2 else 2**2**20)
+INTS = st.one_of(st.integers(-3, 12), st.sampled_from([499, 500, 501, 2**64, -(2**64)]), HUGE_INTS, st.integers())
+COEFFICIENTS = st.one_of(
+    INTS,
+    WRONG,
+    st.sampled_from(["5/4", "-1", "1/0", "1e5000", "-1e-5000", "1e1000000", "1_0.5e-3", " 7 ", "nan", "", "9" * 5000]),
+    st.sampled_from([Decimal("1e1000000"), Decimal("1e-1000000"), Decimal("2.5"), Decimal("Infinity"), 1e300, -0.0]),
+    HUGE_INTS.map(lambda k: Fraction(k, 3)),
+)
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), INTS, st.floats(), st.text(max_size=8), COEFFICIENTS.filter(lambda c: isinstance(c, str))),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@st.composite
+def coefficient_lists(draw):
+    out = draw(st.lists(COEFFICIENTS, min_size=0, max_size=5))
+    return tuple(out) if draw(st.booleans()) else out
+
+
+@st.composite
+def make_type_calls(draw):
+    kind = draw(st.one_of(st.sampled_from([K3N, KUMN, GENERIC, GENERIC, "OG6"]), WRONG, INTS))
+    coeffs = draw(st.one_of(st.none(), coefficient_lists(), WRONG, INTS))
+    n = draw(st.one_of(INTS, WRONG))
+    if isinstance(coeffs, (list, tuple)) and draw(st.booleans()):
+        n = len(coeffs) - 1  # so that the degree check passes and the coefficients are read
+    fujiki = draw(st.one_of(st.none(), COEFFICIENTS))
+    return make_type, (kind, n), {"coeffs": coeffs, "fujiki": fujiki}
+
+
+@st.composite
+def deformation_calls(draw):
+    data = draw(st.fixed_dictionaries({"kind": st.one_of(st.sampled_from([K3N, KUMN, GENERIC]), JSON), "n": JSON}))
+    if draw(st.booleans()):
+        data["coeffs"] = draw(st.one_of(JSON, st.lists(JSON, max_size=5)))
+    return deformation_from_json_dict, (draw(st.one_of(st.just(data), JSON)),), {}
+
+
+@st.composite
+def context_calls(draw):
+    """The k3n2_rank3 fixture with some fields replaced by drawn values."""
+    data = copy.deepcopy(CONTEXT)
+    if draw(st.booleans()):
+        data["lattice"]["gram"][2][2] = draw(st.one_of(INTS, JSON))
+    if draw(st.booleans()):
+        data["peds"][0] = draw(st.lists(st.one_of(INTS, JSON), min_size=3, max_size=3))
+    for key in draw(st.lists(st.sampled_from(["lattice", "ample", "peds", "walls", "deformation", "strong_rlf", "note"]), max_size=3)):
+        data[key] = draw(JSON)
+    return GeometricContext.from_json_dict, (draw(st.one_of(st.just(data), JSON)),), {}
+
+
+def built_types():
+    return [
+        make_type(K3N, 1),
+        make_type(K3N, 3),
+        make_type(KUMN, 2),
+        make_type(GENERIC, 2, coeffs=[3, -4, 1]),  # drops at q = 2
+        make_type(GENERIC, 1, coeffs=[Fraction(1, 3), 1]),  # not integral at q = 0
+        make_type(GENERIC, 3, coeffs=["0", "300000060000005/6", "-10000001/2", "1/6"]),  # step without a real root
+        make_type(GENERIC, 3, coeffs=[0, HUGE, -(10**2500), 1]),  # a far, huge root bound
+        make_type(GENERIC, 2, coeffs=[-HUGE, 0, 1]),
+    ]
+
+
+@st.composite
+def evaluation_calls(draw):
+    t = draw(st.sampled_from(built_types()))
+    q = draw(st.one_of(INTS, WRONG))
+    if draw(st.booleans()):
+        return rr_eval, (t, q), {"allow_odd": draw(st.one_of(st.booleans(), WRONG))}
+    return check_strict_monotonic, (t, q), {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(call=st.one_of(make_type_calls(), deformation_calls(), context_calls(), evaluation_calls()))
+@example(call=(make_type, (GENERIC, 1), {"coeffs": iter([1, 1])}))
+@example(call=(make_type, (GENERIC, 1), {"coeffs": 5}))
+@example(call=(make_type, (GENERIC, 1), {"coeffs": ["1e5000", 1]}))
+@example(call=(make_type, (GENERIC, 1), {"coeffs": [Decimal("1e1000000"), 1]}))
+@example(call=(make_type, (GENERIC, 1), {"coeffs": [Decimal("1e-1000000"), 1]}))
+@example(call=(make_type, (K3N, 2), {"fujiki": "1e1000000"}))
+@example(call=(deformation_from_json_dict, ({"kind": GENERIC, "n": 1, "coeffs": ["1e5000", 1]},), {}))
+@example(call=(GeometricContext.from_json_dict, (dict(CONTEXT, note=HUGE, strong_rlf=HUGE),), {}))
+@example(call=(GeometricContext.from_json_dict, (dict(CONTEXT, lattice={"gram": [[0]], "even": HUGE}),), {}))
+def test_only_typed_errors_escape_within_the_budget(call):
+    fn, args, kwargs = call
+    start = time.perf_counter()
+    try:
+        result = fn(*args, **kwargs)
+        if hasattr(result, "to_json_dict"):  # a type or a context: write it back
+            repr(result), repr(getattr(result, "rr", None)), result.to_json_dict()
+    except BasedivError:
+        pass
+    assert time.perf_counter() - start < BUDGET_S
