@@ -141,16 +141,35 @@ def _divisibility_holds(qd: int, dv: int) -> bool:
 
 
 def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextCheck]:
+    checks = []
     shown = show_vec(d)
     if vec_is_zero(d):
         return [ContextCheck(f"{label}-nonzero", False, f"declared ped {shown} is the zero vector")]
     g = gram_image(lat, d)  # q(D), (ample, D) and div(D) all read G*D
-    qd, pa, content = dot(d, g), dot(ample, g), math.gcd(*d)
-    checks = [
-        ContextCheck(f"{label}-negative-square", qd < 0, f"q({shown}) = {show_int(qd)}" + ("" if qd < 0 else " but a prime-exceptional class needs q < 0")),
-        ContextCheck(f"{label}-primitive", content == 1, f"gcd of coordinates is {show_int(content)}"),
-        ContextCheck(f"{label}-ample-pairing", pa > 0, f"(ample, {shown}) = {show_int(pa)}" + ("" if pa > 0 else " but effective classes must pair positively with an ample class")),
-    ]
+    qd = dot(d, g)
+    checks.append(
+        ContextCheck(
+            f"{label}-negative-square",
+            qd < 0,
+            f"q({shown}) = {show_int(qd)}" + ("" if qd < 0 else " but a prime-exceptional class needs q < 0"),
+        )
+    )
+    checks.append(
+        ContextCheck(
+            f"{label}-primitive",
+            math.gcd(*d) == 1,
+            f"gcd of coordinates is {show_int(math.gcd(*d))}",
+        )
+    )
+    pa = dot(ample, g)
+    checks.append(
+        ContextCheck(
+            f"{label}-ample-pairing",
+            pa > 0,
+            f"(ample, {shown}) = {show_int(pa)}"
+            + ("" if pa > 0 else " but effective classes must pair positively with an ample class"),
+        )
+    )
     if qd < 0:
         dv = math.gcd(*g)
         ok = _divisibility_holds(qd, dv)

@@ -36,8 +36,9 @@ GENERIC = "Generic"
 _KINDS = (K3N, KUMN, GENERIC)
 
 # check_strict_monotonic refuses a polynomial whose root isolation needs more
-# Taylor-shift operations than this, each weighed by the 64-bit words of its
-# operands; only near-root clusters come near (0.3 s to refuse, 2-vCPU Xeon).
+# operations on 64-bit words than this, in its Taylor shifts and its evaluations
+# of the step, counted before each is done; only near-root clusters and huge root
+# bounds come near.
 MONO_WORK_LIMIT = 10**8
 
 # make_type refuses degrees above this: expanding and certifying the polynomial
@@ -102,16 +103,16 @@ class RRPolynomial:
     def __hash__(self) -> int:
         return hash((self.nums, self.den))
 
-    def _texts(self) -> list[str]:
-        """The b_i as str(Fraction) writes them, with each integer shown by show_int."""
+    def _pairs(self) -> list[tuple[int, int]]:
+        """The b_i as pairs (num, den) in lowest terms."""
         out = []
         for c in self.nums:
             g = math.gcd(c, self.den)
-            out.append(_show_pair(c // g, self.den // g, show_int))
+            out.append((c // g, self.den // g))
         return out
 
     def __repr__(self) -> str:
-        return f"RRPolynomial({self._texts()})"
+        return f"RRPolynomial({[_show_pair(num, den, show_int) for num, den in self._pairs()]})"
 
 
 def _over_lcm(pairs: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
@@ -136,8 +137,8 @@ class DeformationType:
     The Fujiki constant is informational, a Fraction; when not supplied it
     is derived on demand from the leading coefficient via C_X = (2n)! * b_n.
     The only other state is the monotonicity verdict for the whole even grid,
-    the first event of ``_first_event``: a pure function of the polynomial
-    that ``check_strict_monotonic`` writes once, on its first call.
+    the first event of ``_first_event`` or its refusal: a pure function of the
+    polynomial that ``check_strict_monotonic`` writes once, on its first call.
     """
 
     __slots__ = ("kind", "n", "rr", "_fujiki", "_verdict")
@@ -172,10 +173,13 @@ class DeformationType:
         return f"DeformationType({self.kind}, n={self.n})"
 
     def to_json_dict(self) -> dict:
-        coeffs = self.rr._texts()
-        for i, text in enumerate(coeffs):
-            if "<" in text:
-                raise CapabilityError(f"coeffs[{i}] = {text} cannot be written: str() refuses an integer that long")
+        coeffs = []
+        for i, (num, den) in enumerate(self.rr._pairs()):
+            try:
+                coeffs.append(_show_pair(num, den, str))
+            except ValueError:  # more than sys.get_int_max_str_digits() digits
+                text = _show_pair(num, den, show_int)
+                raise CapabilityError(f"coeffs[{i}] = {text} cannot be written: str() refuses an integer that long") from None
         return {"kind": self.kind, "n": self.n, "coeffs": coeffs}
 
 
@@ -257,15 +261,17 @@ def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
 
 
 def _value(rr: RRPolynomial, q: int) -> int:
-    num = rr.numerator(q)
-    val, rem = divmod(num, rr.den)
+    val, rem = divmod(rr.numerator(q), rr.den)
     if rem:
-        g = math.gcd(num, rr.den)
-        raise ConsistencyError(
-            f"RR value at q={show_int(q)} is {show_int(num // g)}/{show_int(rr.den // g)}, not an integer;"
-            " the coefficient vector is malformed"
-        )
+        raise ConsistencyError(_message(rr, q))
     return val
+
+
+def _message(rr: RRPolynomial, q: int) -> str:
+    """The ConsistencyError message for a q where rr is not an integer."""
+    num = rr.numerator(q)
+    g = math.gcd(num, rr.den)
+    return f"RR value at q={show_int(q)} is {show_int(num // g)}/{show_int(rr.den // g)}, not an integer; the coefficient vector is malformed"
 
 
 def _taylor_shift(c: list[int], a: int) -> list[int]:
@@ -293,14 +299,16 @@ def _root_bound(s: Sequence[int]) -> int:
     for j in range(1, d + 1):
         scale = 2 * s[d] if j == d else s[d]
         k = max(k, (abs(s[d - j]).bit_length() - scale.bit_length()) // j)  # no smaller k passes
-        while scale << (k * j) < abs(s[d - j]):
+        while k * j < abs(s[d - j]).bit_length() and scale << (k * j) < abs(s[d - j]):  # no shift past |s_(d-j)|
             k += 1
     return 2 << k
 
 
-def _first_event(rr: RRPolynomial, n: int) -> tuple[float, str | None]:
-    """The first even q where rr is not an integer, as (q, message), or is not
-    above its value at q - 2, as (q, None), a tie going to the first; else (inf, None).
+def _first_event(rr: RRPolynomial, n: int) -> tuple[float, type | None, str | None]:
+    """The first even q where rr is not an integer, as (q, ConsistencyError, message),
+    or is not above its value at q - 2, as (q, None, None), a tie going to the first;
+    else (inf, None, None).  A search over MONO_WORK_LIMIT is (0, CapabilityError,
+    message): refused from q = 0 on.
 
     rr, of degree n, is an integer on every even q >= 0 once it is on 0, ..., 2n.
     A drop at q = 2u + 2 is a u with S(u) <= 0 (S of _step), none if every b_i >= 0
@@ -308,33 +316,36 @@ def _first_event(rr: RRPolynomial, n: int) -> tuple[float, str | None]:
     Else [0, _root_bound(S)] is searched leftmost first, halving integer intervals
     [a, b] on a stack; once S(a) > 0, [a, b] is pruned when S(b) > 0 and Descartes'
     rule finds no sign variation in (1 + x)^d S((a + bx)/(1 + x)), so no root of S
-    in (a, b) (Collins and Akritas, SYMSAC 1976); else [a + 1, b] is split.
+    in (a, b) (Collins and Akritas, SYMSAC 1976); else [a + 1, b] is split.  Each
+    interval is charged, before S(b) is evaluated, for its evaluations, its shifts
+    and the evaluations of S at its halves' left ends, which are at most b.
     """
-    event, hi = (math.inf, None), math.inf
+    event, hi = (math.inf, None, None), math.inf
+    low = RRPolynomial._over([c % rr.den for c in rr.nums], rr.den)  # integral where rr is, with short numerators
     for q in range(0, 2 * n + 1, 2):
         try:
-            _value(rr, q)
-        except ConsistencyError as exc:
-            event, hi = (q, str(exc)), q // 2 - 2
+            _value(low, q)
+        except ConsistencyError:
+            event, hi = (q, ConsistencyError, _message(rr, q)), q // 2 - 2
             break
     if min(rr.nums) >= 0:
         return event
     s = _step(rr.nums)
-    d, size, work = len(s) - 1, max(map(abs, s)).bit_length(), 0
+    size, work = max(map(abs, s + list(rr.nums))).bit_length(), 0
     stack = [(0, min(hi, _root_bound(s)))]
     while stack:
         a, b = stack.pop()
         if a > b:
             continue
         if rr.numerator(2 * a + 2) - rr.numerator(2 * a) <= 0:
-            return 2 * a + 2, None
+            return 2 * a + 2, None, None
         if a == b:
             continue
+        words = 1 + b.bit_length() // 64
+        work += n * (n + 5) * words * (1 + size // 64 + n * words)
+        if work > MONO_WORK_LIMIT:
+            return 0, CapabilityError, f"isolating the roots of the RR step of degree {n - 1} needs more than {MONO_WORK_LIMIT} operations on 64-bit words"
         if rr.numerator(2 * b + 2) - rr.numerator(2 * b) > 0:
-            words = 1 + b.bit_length() // 64
-            work += d * (d + 1) * words * (1 + size // 64 + d * words)
-            if work > MONO_WORK_LIMIT:
-                raise CapabilityError(f"isolating the roots of the RR step of degree {d} needs more than {MONO_WORK_LIMIT} Taylor-shift operations")
             t = _taylor_shift(s[:], a)
             if min(_taylor_shift([c * (b - a) ** i for i, c in enumerate(t)][::-1], 1)) >= 0:
                 continue
@@ -349,17 +360,17 @@ def check_strict_monotonic(t: DeformationType, q_max: int) -> bool:
     The first event on the whole grid, found once per type by ``_first_event``
     and kept, decides: a value not above its predecessor returns False, a
     non-integral value raises ConsistencyError.  The cost does not depend on
-    q_max; a step whose isolation passes MONO_WORK_LIMIT is refused at any q_max.
+    q_max; a step whose isolation passes MONO_WORK_LIMIT is refused with
+    CapabilityError at any q_max, and the refusal is kept too.
     """
-    if type(q_max) is not int:  # refuses bool too, in a third of isinstance's time: every classify calls this
-        raise DomainError(f"q_max must be an integer, got {show_value(q_max)}")
+    require_int("q_max", q_max)
     if q_max < 0:
         raise DomainError("q_max must be nonnegative")
     if t._verdict is None:
         t._verdict = _first_event(t.rr, t.n)
-    q, message = t._verdict
-    if q <= q_max and message is not None:
-        raise ConsistencyError(message)
+    q, error, message = t._verdict
+    if q <= q_max and error is not None:
+        raise error(message)
     return q > q_max
 
 

@@ -262,13 +262,13 @@ def test_step_without_real_root_certifies_at_once():
 
 
 def test_isolation_work_guard(monkeypatch):
-    # S(u) = 6(u^2 - u + 1) has no real root and U = 2: one Descartes test, on
-    # (0, 2), weighing d(d + 1) * words * (1 + size // 64 + d * words) = 6 * 1 * 3
+    # S(u) = 24(u^2 - u + 1) has no real root and U = 2: one interval, (0, 2), charged
+    # n(n + 5) * words * (1 + size // 64 + n * words) = 3 * 8 * 1 * 4 and then pruned
     coeffs = coeffs_with_step([6, -6, 6])
-    monkeypatch.setattr(riemann_roch, "MONO_WORK_LIMIT", 18)
+    monkeypatch.setattr(riemann_roch, "MONO_WORK_LIMIT", 96)
     assert check_strict_monotonic(make_type(GENERIC, 3, coeffs=coeffs), 10**9)
-    monkeypatch.setattr(riemann_roch, "MONO_WORK_LIMIT", 17)
-    with pytest.raises(CapabilityError, match="more than 17 Taylor-shift operations"):
+    monkeypatch.setattr(riemann_roch, "MONO_WORK_LIMIT", 95)
+    with pytest.raises(CapabilityError, match="more than 95 operations on 64-bit words"):
         check_strict_monotonic(make_type(GENERIC, 3, coeffs=coeffs), 10**9)
 
 
@@ -282,9 +282,21 @@ def test_clustered_near_roots_are_refused_at_every_q_max():
     g = make_type(GENERIC, 41, coeffs=coeffs_with_step(s))
     for q_max in (0, 10**30):
         start = time.perf_counter()
-        with pytest.raises(CapabilityError, match="Taylor-shift operations"):
+        with pytest.raises(CapabilityError, match="operations on 64-bit words"):
             check_strict_monotonic(g, q_max)
         assert time.perf_counter() - start < 2
+
+
+def test_huge_root_bound_is_refused_before_evaluating_at_it():
+    # b_499 = -1e9800 puts Fujiwara's bound near 2^32556, and b_1 = 1e9999 keeps S(0) > 0:
+    # one evaluation of this degree-500 polynomial there takes about a second
+    g = make_type(GENERIC, 500, coeffs=["0", "1e9999"] + ["0"] * 497 + ["-1e9800", "1"])
+    assert riemann_roch._root_bound(riemann_roch._step(g.rr.nums)).bit_length() > 32000
+    for budget in (2, 0.01):  # the refusal is kept, so the second call reads it
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="operations on 64-bit words"):
+            check_strict_monotonic(g, 0)
+        assert time.perf_counter() - start < budget
 
 
 def test_large_n_types_certify_with_exact_values():
