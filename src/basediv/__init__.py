@@ -14,7 +14,6 @@ from .classifier import (
     check_2H,
     classification_report,
     classify,
-    kumn_case1_solutions,
     kumn_nonexistence_search,
     nl_numerical_types,
     verify_decomposition,
@@ -69,53 +68,4 @@ from .riemann_roch import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasedivError",
-    "CapabilityError",
-    "ConsistencyError",
-    "ContextCheck",
-    "Decomposition",
-    "DeformationType",
-    "DomainError",
-    "GENERIC",
-    "GeometricContext",
-    "HypothesisError",
-    "IntegralityError",
-    "K3N",
-    "KUMN",
-    "Lattice",
-    "NumericalNLType",
-    "RRPolynomial",
-    "ReflectionTrace",
-    "StructuralError",
-    "Vec",
-    "check_2H",
-    "check_strict_monotonic",
-    "classification_report",
-    "classify",
-    "deformation_from_json_dict",
-    "direct_sum",
-    "divisibility",
-    "enumerate_vectors",
-    "hyperbolic_plane",
-    "in_bk_closure",
-    "in_positive_cone",
-    "invert_binomial",
-    "is_primitive",
-    "k3_ped_candidates",
-    "kumn_case1_solutions",
-    "kumn_nonexistence_search",
-    "make_type",
-    "nl_numerical_types",
-    "pairing",
-    "ped_inequality_check",
-    "rank2_exceptional_scan",
-    "rank_one",
-    "reflect",
-    "reflect_into_bk",
-    "rr_eval",
-    "run_context_checks",
-    "square",
-    "validate_context_payload",
-    "verify_decomposition",
-]
+__all__ = [name for name in dir() if not name.startswith("_")]

@@ -220,21 +220,6 @@ def check_2H(ctx: GeometricContext, H: Iterable[int]) -> bool:
 # ---------------------------------------------------------------------------
 # Kum^n non-existence
 
-def kumn_case1_solutions(n: int, m_max: int) -> list[int]:
-    """All m in [1, m_max] with (n+1) * C(m-1+n, n) == C(m+n, n).
-
-    Cross-multiplying reduces the identity to n*(m-1) == 0, so the unique
-    solution is m = 1, returned without a sweep.
-    """
-    require_int("n", n)
-    require_int("m_max", m_max)
-    if n < 1:
-        raise DomainError("n must be positive")
-    if m_max < 1:
-        raise DomainError("m_max must be positive")
-    return [1]
-
-
 def kumn_nonexistence_search(n_max: int, m_max: int, d_max: int) -> list[tuple[int, int, int, int]]:
     """All Kum^n base-divisor numerical types (n, m, d, q_F) with 2 <= n <= n_max,
     2 <= m <= m_max and 1 <= d <= d_max: always none, by the following proof.

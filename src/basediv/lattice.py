@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-from .errors import CapabilityError, DomainError, StructuralError, show_value
+from .errors import CapabilityError, DomainError, StructuralError, require_int, show_value
 
 Vec = tuple[int, ...]
 
@@ -221,8 +221,9 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
         raise CapabilityError(
             f"box enumeration is limited to rank <= {ENUM_RANK_LIMIT}, got rank {lat.rank}"
         )
-    if coeff_bound < 1:
-        raise DomainError("coeff_bound must be >= 1")
+    require_int("square_value", square_value)
+    if isinstance(coeff_bound, bool) or not isinstance(coeff_bound, int) or coeff_bound < 1:
+        raise DomainError("coeff_bound must be an integer >= 1")
     prefixes = (2 * coeff_bound + 1) ** max(lat.rank - 1, 1)
     if prefixes > ENUM_PREFIX_LIMIT:
         raise CapabilityError(

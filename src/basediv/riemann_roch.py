@@ -14,11 +14,10 @@ directly, evaluation is Horner's rule in integers followed by one exact
 division, and monotonicity certification and binomial inversion stay in
 exact arithmetic.  Generic coefficients are read straight to integer pairs:
 an int as itself, a string by ``_read_pair`` in the grammar of
-``Fraction(str)``.  Fractions are made on demand only by ``coeffs``,
-``__call__`` and ``fujiki``, and for a library coefficient of another type
-(a Fraction, float or Decimal), so parsing a context, Generic or not, never
-imports ``fractions``, ``decimal`` and ``numbers`` (about 3 ms of start-up on
-a 2-vCPU Xeon host).
+``Fraction(str)``.  Fractions are made on demand only by ``coeffs``
+and for a library coefficient of another type (a Fraction, float or
+Decimal), so parsing a context, Generic or not, never imports ``fractions``,
+``decimal`` and ``numbers`` (about 3 ms of start-up on a 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
@@ -92,11 +91,6 @@ class RRPolynomial:
             acc = acc * x + c
         return acc
 
-    def __call__(self, x: int):
-        """p(x) as a Fraction."""
-        from fractions import Fraction
-        return Fraction(self.numerator(x), self.den)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, RRPolynomial) and self.nums == other.nums and self.den == other.den
 
@@ -134,40 +128,26 @@ def _show_pair(num: int, den: int, show) -> str:
 class DeformationType:
     """Registry entry: a kind tag, the half-dimension n, and the RR polynomial.
 
-    The Fujiki constant is informational, a Fraction; when not supplied it
-    is derived on demand from the leading coefficient via C_X = (2n)! * b_n.
-    The only other state is the monotonicity verdict for the whole even grid,
-    the first event of ``_first_event`` or its refusal: a pure function of the
-    polynomial that ``check_strict_monotonic`` writes once, on its first call.
+    The Fujiki constant is (2n)! * b_n, read from the leading coefficient of
+    ``rr``.  The only other state is the monotonicity verdict for the whole
+    even grid, the first event of ``_first_event`` or its refusal: a pure
+    function of the polynomial that ``check_strict_monotonic`` writes once, on
+    its first call.
     """
 
-    __slots__ = ("kind", "n", "rr", "_fujiki", "_verdict")
+    __slots__ = ("kind", "n", "rr", "_verdict")
 
-    def __init__(self, kind: str, n: int, rr: RRPolynomial, fujiki=None):
+    def __init__(self, kind: str, n: int, rr: RRPolynomial):
         if kind not in _KINDS:
             raise DomainError(f"unknown deformation kind {kind!r}")
-        if n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise DomainError("half-dimension n must be a positive integer")
         if rr.degree != n:
             raise DomainError(f"RR polynomial must have degree exactly n={n}, got degree {rr.degree}")
-        if fujiki is not None:
-            from fractions import Fraction
-            fujiki = Fraction(*_coefficient(fujiki, "fujiki"))
-            if fujiki <= 0:
-                raise DomainError("Fujiki constant must be positive")
         self.kind = kind
         self.n = n
         self.rr = rr
-        self._fujiki = fujiki
         self._verdict = None
-
-    @property
-    def fujiki(self):
-        """The Fujiki constant as a Fraction."""
-        if self._fujiki is not None:
-            return self._fujiki
-        from fractions import Fraction
-        return Fraction(math.factorial(2 * self.n) * self.rr.nums[-1], self.rr.den)
 
     def __repr__(self) -> str:
         return f"DeformationType({self.kind}, n={self.n})"
@@ -201,7 +181,7 @@ def _check_degree(n: int, count: int) -> None:
         raise CapabilityError(f"RR polynomial of degree {show_int(degree)} exceeds the half-dimension limit {HALF_DIM_LIMIT}")
 
 
-def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) -> DeformationType:
+def make_type(kind: str, n: int, coeffs: Sequence | None = None) -> DeformationType:
     """Build (or fetch) a deformation type with its RR polynomial.
 
     K3n requires n >= 1 and Kumn requires n >= 2; Kum^1 is rejected because
@@ -222,12 +202,11 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) ->
     if kind == GENERIC:
         if coeffs is None:
             raise DomainError("Generic deformation type needs explicit RR coefficients")
-        rr = RRPolynomial(coeffs)
-        return DeformationType(GENERIC, n, rr, fujiki)
+        return DeformationType(GENERIC, n, RRPolynomial(coeffs))
     if coeffs is not None:
         raise DomainError(f"{kind} carries a closed-form RR polynomial; explicit coefficients are not accepted")
     key = (kind, n)
-    if fujiki is None and key in _registry:
+    if key in _registry:
         return _registry[key]
     if kind == K3N:
         if n < 1:
@@ -238,10 +217,8 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None, fujiki=None) ->
             raise DomainError("Kumn requires n >= 2 (Kum^1 is not a registered type)")
         shift, factor = n, n + 1
     rr = RRPolynomial._over([factor * c for c in _half_q_binomial(shift, n)], 2**n * math.factorial(n))
-    t = DeformationType(kind, n, rr, fujiki)
-    if fujiki is None:
-        _registry[key] = t
-    return t
+    _registry[key] = DeformationType(kind, n, rr)
+    return _registry[key]
 
 
 def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
@@ -380,9 +357,9 @@ def invert_binomial(value: int, n: int) -> int | None:
     Uniqueness holds because the binomial is strictly increasing in the top
     argument once the top is at least n.
     """
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
-    if value < 1:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise DomainError("value must be a positive integer")
     hi = 1
     while math.comb(hi + n, n) < value:

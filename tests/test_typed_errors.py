@@ -14,16 +14,22 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from basediv import (
     BasedivError,
+    DeformationType,
+    DomainError,
     GENERIC,
     GeometricContext,
     K3N,
     KUMN,
+    Lattice,
     check_strict_monotonic,
     deformation_from_json_dict,
+    enumerate_vectors,
+    invert_binomial,
     make_type,
     rr_eval,
 )
@@ -67,8 +73,7 @@ def make_type_calls(draw):
     n = draw(st.one_of(INTS, WRONG))
     if isinstance(coeffs, (list, tuple)) and draw(st.booleans()):
         n = len(coeffs) - 1  # so that the degree check passes and the coefficients are read
-    fujiki = draw(st.one_of(st.none(), COEFFICIENTS))
-    return make_type, (kind, n), {"coeffs": coeffs, "fujiki": fujiki}
+    return make_type, (kind, n), {"coeffs": coeffs}
 
 
 @st.composite
@@ -121,7 +126,6 @@ def evaluation_calls(draw):
 @example(call=(make_type, (GENERIC, 1), {"coeffs": ["1e5000", 1]}))
 @example(call=(make_type, (GENERIC, 1), {"coeffs": [Decimal("1e1000000"), 1]}))
 @example(call=(make_type, (GENERIC, 1), {"coeffs": [Decimal("1e-1000000"), 1]}))
-@example(call=(make_type, (K3N, 2), {"fujiki": "1e1000000"}))
 @example(call=(deformation_from_json_dict, ({"kind": GENERIC, "n": 1, "coeffs": ["1e5000", 1]},), {}))
 @example(call=(GeometricContext.from_json_dict, (dict(CONTEXT, note=HUGE, strong_rlf=HUGE),), {}))
 @example(call=(GeometricContext.from_json_dict, (dict(CONTEXT, lattice={"gram": [[0]], "even": HUGE}),), {}))
@@ -135,3 +139,18 @@ def test_only_typed_errors_escape_within_the_budget(call):
     except BasedivError:
         pass
     assert time.perf_counter() - start < BUDGET_S
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (invert_binomial, ("3", 2)),
+        (DeformationType, (K3N, "2", make_type(K3N, 2).rr)),
+        (enumerate_vectors, (Lattice([[2]]), "x", 3)),
+        (enumerate_vectors, (Lattice([[2]]), 0, "3")),
+    ],
+    ids=["invert-binomial-value", "deformation-type-n", "enumerate-square", "enumerate-bound"],
+)
+def test_wrongly_typed_value_arguments_are_domain_errors(fn, args):
+    with pytest.raises(DomainError, match="integer"):
+        fn(*args)
