@@ -34,9 +34,6 @@ from .lattice import (
     is_primitive,
     pairing,
     square,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
 )
 from .riemann_roch import (
     DeformationType,
@@ -179,9 +176,9 @@ def verify_decomposition(ctx: GeometricContext, H: Iterable[int], dec: Decomposi
         return False
     if dec.m < 2:
         return False
-    if h_vec != vec_add(vec_scale(dec.m, l_vec), f_vec):
+    if h_vec != tuple(dec.m * x + y for x, y in zip(l_vec, f_vec)):
         return False
-    if vec_is_zero(l_vec) or square(lat, l_vec) != 0 or not is_primitive(lat, l_vec):
+    if not any(l_vec) or square(lat, l_vec) != 0 or not is_primitive(lat, l_vec):
         return False
     if f_vec not in ctx.peds:
         return False
@@ -214,7 +211,7 @@ def check_2H(ctx: GeometricContext, H: Iterable[int]) -> bool:
     h_vec = ctx.lat.vector(H)
     if classify(ctx, h_vec) is None:
         raise DomainError("check_2H applies to classes that do carry a base divisor")
-    return classify(ctx, vec_scale(2, h_vec)) is None
+    return classify(ctx, tuple(2 * x for x in h_vec)) is None
 
 
 # ---------------------------------------------------------------------------

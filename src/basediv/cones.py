@@ -40,61 +40,11 @@ from .lattice import (
     gram_image,
     pairing,
     square,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
-from .riemann_roch import DeformationType, deformation_from_json_dict
+from .riemann_roch import DeformationType, _Record, _set, deformation_from_json_dict
 
 # rank2_exceptional_scan refuses bounds beyond this, as the box sweep it replaced did.
 RANK2_SCAN_BOUND_LIMIT = 500
-
-
-_set = object.__setattr__
-
-
-class _Record:
-    """Base of the immutable result records.
-
-    A subclass names its fields in ``__slots__`` and sets each once in its
-    ``__init__`` through ``_set``.  Two records are equal when they are of
-    the same class and their fields are; hash and repr use the same fields.
-    Fields named in the class keyword ``hidden`` take no part in any of the
-    three.  Assigning or deleting a field raises AttributeError.  Records
-    are not dataclasses because ``dataclasses`` imports ``inspect``, about
-    10 ms of every CLI call's start-up; an ``__init__`` written out as a
-    frozen dataclass would generate it constructs no slower.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, hidden=()):
-        super().__init_subclass__()
-        cls._fields = tuple(f for f in cls.__slots__ if f not in hidden)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable {self.__class__.__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable {self.__class__.__name__}")
 
 
 class ContextCheck(_Record, hidden=("error",)):
@@ -143,7 +93,7 @@ def _divisibility_holds(qd: int, dv: int) -> bool:
 def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextCheck]:
     checks = []
     shown = show_vec(d)
-    if vec_is_zero(d):
+    if not any(d):
         return [ContextCheck(f"{label}-nonzero", False, f"declared ped {shown} is the zero vector")]
     g = gram_image(lat, d)  # q(D), (ample, D) and div(D) all read G*D
     qd = dot(d, g)
@@ -381,7 +331,7 @@ def reflect(ctx: GeometricContext, d: Iterable[int], alpha: Iterable[int]) -> Ve
             f" {show_vec(dv)} is not a valid integral reflection root for {show_vec(av)}"
         )
     s = num // qd
-    return vec_sub(av, vec_scale(s, dv))
+    return tuple(x - s * y for x, y in zip(av, dv))
 
 
 def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTrace:
@@ -401,7 +351,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     the last step, and the loop ends only when (result, D) >= 0 for every ped.
     """
     current = ctx.lat.vector(alpha)
-    if vec_is_zero(current):
+    if not any(current):
         raise DomainError("cannot walk the zero class")
     qa = dot(current, gram_image(ctx.lat, current))
     if qa < 0:
@@ -443,7 +393,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
 def in_positive_cone(ctx: GeometricContext, alpha: Iterable[int], closed: bool = False) -> bool:
     """Membership in the (open or closed) positive cone on the ample side."""
     a = ctx.lat.vector(alpha)
-    if closed and vec_is_zero(a):
+    if closed and not any(a):
         return True
     qa = dot(a, gram_image(ctx.lat, a))
     return (qa >= 0 if closed else qa > 0) and dot(a, ctx.g_ample) > 0
@@ -470,7 +420,7 @@ def ped_inequality_check(lat: Lattice, d: Iterable[int]) -> bool:
     that d cannot be one.
     """
     dv = lat.vector(d)
-    if vec_is_zero(dv):
+    if not any(dv):
         raise DomainError("the zero vector cannot be a prime-exceptional class")
     qd = square(lat, dv)
     if qd >= 0:

@@ -84,8 +84,10 @@ class Lattice:
         """Validate and normalize a coordinate vector for this lattice."""
         if type(coords) is tuple and _INT.issuperset(map(type, coords)):
             v = coords  # a tuple of plain ints, checked in one pass at C level
-        else:
+        elif isinstance(coords, Iterable):
             v = tuple(_as_int(c) for c in coords)
+        else:
+            raise StructuralError(f"a vector must be a sequence of integers, got {show_value(coords)}")
         if len(v) != self.rank:
             raise StructuralError(f"vector length {len(v)} does not match lattice rank {self.rank}")
         return v
@@ -145,25 +147,6 @@ def direct_sum(*lattices: Lattice) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# vector helpers (plain tuple arithmetic, shared across modules)
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vec_scale(k: int, v: Vec) -> Vec:
-    return tuple(k * x for x in v)
-
-
-def vec_is_zero(v: Vec) -> bool:
-    return not any(v)
-
-
-# ---------------------------------------------------------------------------
 # operations
 
 def dot(a: Vec, b: Vec) -> int:
@@ -194,7 +177,7 @@ def divisibility(lat: Lattice, d: Iterable[int]) -> int:
     for degenerate Gram matrices); the zero vector itself is rejected.
     """
     dv = lat.vector(d)
-    if vec_is_zero(dv):
+    if not any(dv):
         raise DomainError("divisibility of the zero vector is undefined")
     return math.gcd(*gram_image(lat, dv))
 
@@ -202,7 +185,7 @@ def divisibility(lat: Lattice, d: Iterable[int]) -> int:
 def is_primitive(lat: Lattice, v: Iterable[int]) -> bool:
     """True iff the coordinates of v have gcd 1."""
     vv = lat.vector(v)
-    if vec_is_zero(vv):
+    if not any(vv):
         raise DomainError("primitivity of the zero vector is undefined")
     return math.gcd(*vv) == 1
 

@@ -23,7 +23,7 @@ Decimal), so parsing a context, Generic or not, never imports ``fractions``,
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError, require_int, show_int, show_value
 from .lattice import as_array
@@ -40,8 +40,10 @@ _KINDS = (K3N, KUMN, GENERIC)
 # bounds come near.
 MONO_WORK_LIMIT = 10**8
 
-# make_type refuses degrees above this: expanding and certifying the polynomial
-# costs about n^3 digit operations (0.25 s at n = 500, 1.5 s at n = 1000).
+# DeformationType and its readers refuse degrees above this: expanding a registered
+# closed form costs about n^3 digit operations (31 ms at n = 500, 0.29 s at
+# n = 1000, 2-vCPU Xeon), and a Generic type's certificate, run when it is built,
+# grows with the degree too.
 HALF_DIM_LIMIT = 500
 
 # rr_eval refuses when n * q.bit_length(), about the value's bit length, exceeds
@@ -49,17 +51,67 @@ HALF_DIM_LIMIT = 500
 RR_EVAL_BITS_LIMIT = 2**19
 
 
-class RRPolynomial:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable records.
+
+    A subclass names its fields in ``__slots__`` and sets each once in its
+    ``__init__`` through ``_set``.  Two records are equal when they are of
+    the same class and their fields are; hash and repr use the same fields.
+    Fields named in the class keyword ``hidden`` take no part in any of the
+    three.  Assigning or deleting a field raises AttributeError.  Records
+    are not dataclasses because ``dataclasses`` imports ``inspect``, about
+    10 ms of every CLI call's start-up; an ``__init__`` written out as a
+    frozen dataclass would generate it constructs no slower.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden=()):
+        super().__init_subclass__()
+        cls._fields = tuple(f for f in cls.__slots__ if f not in hidden)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {self.__class__.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {self.__class__.__name__}")
+
+
+class RRPolynomial(_Record):
     """Polynomial sum b_i x^i with exact rational coefficients, b_n > 0.
 
     The state is ``nums`` and ``den``: the b_i as integer numerators over
     their least common denominator, in lowest terms, which is what
     evaluation uses.  ``coeffs`` makes the b_i as Fractions on demand.
+    An immutable record: equal to another with the same ``nums`` and ``den``.
     """
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable):
+    def __init__(self, coeffs: Sequence):
+        if not isinstance(coeffs, (list, tuple)):
+            raise DomainError(f"coeffs must be a list or tuple, got {show_value(coeffs)}")
         self._store(*_over_lcm([_coefficient(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]))
 
     @classmethod
@@ -71,8 +123,8 @@ class RRPolynomial:
 
     def _store(self, nums: Sequence[int], den: int) -> None:
         g = math.gcd(den, *nums)
-        self.den = den // g
-        self.nums = tuple(c // g for c in nums)
+        _set(self, "nums", tuple(c // g for c in nums))
+        _set(self, "den", den // g)
 
     @property
     def coeffs(self) -> tuple:
@@ -91,11 +143,8 @@ class RRPolynomial:
             acc = acc * x + c
         return acc
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RRPolynomial) and self.nums == other.nums and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
+    def __reduce__(self):
+        return RRPolynomial._over, (self.nums, self.den)
 
     def _pairs(self) -> list[tuple[int, int]]:
         """The b_i as pairs (num, den) in lowest terms."""
@@ -125,29 +174,43 @@ def _show_pair(num: int, den: int, show) -> str:
     return show(num) if den == 1 else f"{show(num)}/{show(den)}"
 
 
-class DeformationType:
-    """Registry entry: a kind tag, the half-dimension n, and the RR polynomial.
+class DeformationType(_Record, hidden=("_verdict",)):
+    """A kind tag, the half-dimension n, the RR polynomial and its verdict.
 
-    The Fujiki constant is (2n)! * b_n, read from the leading coefficient of
-    ``rr``.  The only other state is the monotonicity verdict for the whole
-    even grid, the first event of ``_first_event`` or its refusal: a pure
-    function of the polynomial that ``check_strict_monotonic`` writes once, on
-    its first call.
+    Construction decides what a type may hold: a K3n or Kumn type holds only
+    its family's closed form, as the registry expands it, and any other ``rr``
+    raises DomainError.  The Fujiki constant is (2n)! * b_n, read from the
+    leading coefficient of ``rr``.  ``_verdict`` is the monotonicity verdict
+    for the whole even grid, fixed here: the first event of ``_first_event``
+    or its refusal for a Generic type, and (inf, None, None) for K3^[n] and
+    Kum^n by a theorem.  Their closed forms are prod_{j<n} (q + 2(shift - j))
+    over 2^n n!, times n + 1 for Kum^n, with shift = n + 1 for K3^[n] and n
+    for Kum^n.  Every constant 2(shift - j) is positive, so no numerator is
+    negative and every coefficient of the step p(q + 2) - p(q) is positive;
+    and the values at even q >= 0 are binomials, times n + 1, so integers.
     """
 
     __slots__ = ("kind", "n", "rr", "_verdict")
 
     def __init__(self, kind: str, n: int, rr: RRPolynomial):
         if kind not in _KINDS:
-            raise DomainError(f"unknown deformation kind {kind!r}")
+            raise DomainError(f"unknown deformation kind {show_value(kind)}")
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise DomainError("half-dimension n must be a positive integer")
         if rr.degree != n:
-            raise DomainError(f"RR polynomial must have degree exactly n={n}, got degree {rr.degree}")
-        self.kind = kind
-        self.n = n
-        self.rr = rr
-        self._verdict = None
+            raise DomainError(f"RR polynomial must have degree exactly n={show_int(n)}, got degree {rr.degree}")
+        _check_degree(n, 0)
+        if kind == GENERIC:
+            self._fill(kind, n, rr, _first_event(rr, n))
+        else:
+            self._fill(kind, n, rr, _type_of(kind, n, rr)._verdict)
+
+    def _fill(self, kind: str, n: int, rr: RRPolynomial, verdict: tuple) -> None:
+        for name, value in zip(self.__slots__, (kind, n, rr, verdict)):
+            _set(self, name, value)
+
+    def __reduce__(self):
+        return DeformationType, (self.kind, self.n, self.rr)
 
     def __repr__(self) -> str:
         return f"DeformationType({self.kind}, n={self.n})"
@@ -189,36 +252,44 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None) -> DeformationT
     2-dimensional "Kum" type would silently produce wrong chi values.
     Generic takes explicit coefficients b_0..b_n with b_n > 0, in a list or
     tuple: ints, strings that Fraction(str) reads, or values that Fraction(c)
-    reads; any other coefficient raises DomainError.  Degrees above
-    HALF_DIM_LIMIT, and a string or Decimal with a decimal exponent of more
-    than four digits, raise CapabilityError before anything is expanded.
+    reads; any other coefficient raises DomainError.  K3n and Kumn give the
+    registered instance, and take coefficients only when they equal its
+    closed form.  Degrees above HALF_DIM_LIMIT, and a string or Decimal with
+    a decimal exponent of more than four digits, raise CapabilityError
+    before anything is expanded.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown deformation kind {show_value(kind)}")
     require_int("n", n)
-    if coeffs is not None and not isinstance(coeffs, (list, tuple)):
-        raise DomainError(f"coeffs must be a list or tuple, got {show_value(coeffs)}")
-    _check_degree(n, len(coeffs or ()))
+    _check_degree(n, len(coeffs) if isinstance(coeffs, (list, tuple)) else 0)
+    if kind == GENERIC and coeffs is None:
+        raise DomainError("Generic deformation type needs explicit RR coefficients")
+    return _type_of(kind, n, None if coeffs is None else RRPolynomial(coeffs))
+
+
+def _type_of(kind: str, n: int, rr: RRPolynomial | None) -> DeformationType:
+    """The Generic type of rr, or the registered type of (kind, n), expanded
+    from its closed form into _registry on first use; rr, if given, must be
+    its polynomial.  n is an int within HALF_DIM_LIMIT."""
     if kind == GENERIC:
-        if coeffs is None:
-            raise DomainError("Generic deformation type needs explicit RR coefficients")
-        return DeformationType(GENERIC, n, RRPolynomial(coeffs))
-    if coeffs is not None:
-        raise DomainError(f"{kind} carries a closed-form RR polynomial; explicit coefficients are not accepted")
-    key = (kind, n)
-    if key in _registry:
-        return _registry[key]
-    if kind == K3N:
-        if n < 1:
-            raise DomainError("K3n requires n >= 1")
-        shift, factor = n + 1, 1
-    else:
-        if n < 2:
-            raise DomainError("Kumn requires n >= 2 (Kum^1 is not a registered type)")
-        shift, factor = n, n + 1
-    rr = RRPolynomial._over([factor * c for c in _half_q_binomial(shift, n)], 2**n * math.factorial(n))
-    _registry[key] = DeformationType(kind, n, rr)
-    return _registry[key]
+        return DeformationType(kind, n, rr)
+    t = _registry.get((kind, n))
+    if t is None:
+        if kind == K3N:
+            if n < 1:
+                raise DomainError("K3n requires n >= 1")
+            shift, factor = n + 1, 1
+        else:
+            if n < 2:
+                raise DomainError("Kumn requires n >= 2 (Kum^1 is not a registered type)")
+            shift, factor = n, n + 1
+        closed = RRPolynomial._over([factor * c for c in _half_q_binomial(shift, n)], 2**n * math.factorial(n))
+        t = DeformationType.__new__(DeformationType)
+        t._fill(kind, n, closed, (math.inf, None, None))
+        _registry[kind, n] = t
+    if rr is not None and rr != t.rr:
+        raise DomainError(f"{kind} carries a closed-form RR polynomial; explicit coefficients must equal it")
+    return t
 
 
 def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
@@ -334,17 +405,14 @@ def _first_event(rr: RRPolynomial, n: int) -> tuple[float, type | None, str | No
 def check_strict_monotonic(t: DeformationType, q_max: int) -> bool:
     """True iff rr_eval is strictly increasing on the even grid {0, 2, ..., q_max}.
 
-    The first event on the whole grid, found once per type by ``_first_event``
-    and kept, decides: a value not above its predecessor returns False, a
-    non-integral value raises ConsistencyError.  The cost does not depend on
-    q_max; a step whose isolation passes MONO_WORK_LIMIT is refused with
-    CapabilityError at any q_max, and the refusal is kept too.
+    The type's verdict, the first event on the whole grid, decides: a value
+    not above its predecessor returns False, a non-integral value raises
+    ConsistencyError, and a refusal (a Generic step whose isolation passed
+    MONO_WORK_LIMIT) raises CapabilityError at any q_max.  Nothing is computed.
     """
     require_int("q_max", q_max)
     if q_max < 0:
         raise DomainError("q_max must be nonnegative")
-    if t._verdict is None:
-        t._verdict = _first_event(t.rr, t.n)
     q, error, message = t._verdict
     if q <= q_max and error is not None:
         raise error(message)
@@ -375,6 +443,9 @@ def invert_binomial(value: int, n: int) -> int | None:
 
 
 def deformation_from_json_dict(data: dict) -> DeformationType:
+    """The type a deformation object names.  "coeffs" is required for Generic
+    and optional for K3n and Kumn, whose coefficients, when present, must equal
+    the closed form, as make_type's must."""
     if not isinstance(data, dict) or "kind" not in data or "n" not in data:
         raise StructuralError('deformation JSON must be an object with "kind" and "n"')
     kind = data["kind"]
@@ -383,15 +454,17 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
         raise StructuralError(f'deformation "kind" must be a string, got {show_value(kind)}')
     if isinstance(n, bool) or not isinstance(n, int):
         raise StructuralError('deformation "n" must be an integer')
-    if kind == GENERIC:
-        coeffs = data.get("coeffs")
+    coeffs = data.get("coeffs")
+    if kind != GENERIC:
+        t = make_type(kind, n)  # the kind and n are refused as without coeffs
         if coeffs is None:
-            raise StructuralError('Generic deformation JSON needs a "coeffs" array')
-        coeffs = as_array(coeffs, "deformation.coeffs")
-        pairs = [_json_coefficient(c, f"deformation.coeffs[{i}]") for i, c in enumerate(coeffs)]
-        _check_degree(n, len(pairs))
-        return DeformationType(GENERIC, n, RRPolynomial._over(*_over_lcm(pairs)))
-    return make_type(kind, n)
+            return t
+    elif coeffs is None:
+        raise StructuralError('Generic deformation JSON needs a "coeffs" array')
+    coeffs = as_array(coeffs, "deformation.coeffs")
+    pairs = [_json_coefficient(c, f"deformation.coeffs[{i}]") for i, c in enumerate(coeffs)]
+    _check_degree(n, len(pairs))
+    return _type_of(kind, n, RRPolynomial._over(*_over_lcm(pairs)))
 
 
 def _json_coefficient(c, path: str) -> tuple[int, int]:

@@ -48,6 +48,10 @@ MUTANTS = (
     ("closure-ample-half", CLASSIFIER, "if f_row[0] >= p_h or any(", "if any(", CLASSIFY_TESTS),
     ("closure-ped-half", CLASSIFIER, "if f_row[0] >= p_h or any(map(gt, f_row[1:], pairings)):", "if f_row[0] >= p_h:", CLASSIFY_TESTS),
     ("table-column", CLASSIFIER, "map(gt, f_row[1:], pairings)", "map(gt, f_row[:-1], pairings)", CLASSIFY_TESTS),
+    ("uniqueness", CLASSIFIER, "if len(matches) > 1:", "if len(matches) > 2:", CLASSIFY_TESTS),
+    # the numerical Noether-Lefschetz types
+    ("nl-chi-floor", CLASSIFIER, "if chi < 1:", "if chi < 0:", CLASSIFY_TESTS),
+    ("nl-limit", CLASSIFIER, "if hi - lo + 1 > NL_TYPES_LIMIT:", "if hi - lo + 1 >= NL_TYPES_LIMIT:", CLASSIFY_TESTS),
     # the reflection walk
     ("walk-scalar", CONES, "num = 2 * p\n", "num = 4 * p\n", WALK_TESTS),
     ("walk-height-column", CONES, "height - a * d_row[0]", "height - a * d_row[1]", WALK_TESTS),
@@ -60,6 +64,11 @@ MUTANTS = (
     ("pruned-right-end", RIEMANN_ROCH, "rr.numerator(2 * b) > 0:", "rr.numerator(2 * b) >= 0:", ("tests/test_riemann_roch.py",)),
     ("isolation-split", RIEMANN_ROCH, "(a + 1, mid)]", "(a + 2, mid)]", ("tests/test_riemann_roch.py",)),
     ("isolation-work-guard", RIEMANN_ROCH, "if work > MONO_WORK_LIMIT:", "if work >= MONO_WORK_LIMIT:", ("tests/test_riemann_roch.py",)),
+    # the registered families: their closed form is the only polynomial they hold, and
+    # their verdict is the theorem's, whose hypotheses the tests check
+    ("closed-form-comparison", RIEMANN_ROCH, "if rr is not None and rr != t.rr:", "if False:", ("tests/test_riemann_roch.py",)),
+    ("kumn-negative-shift", RIEMANN_ROCH, "shift, factor = n, n + 1", "shift, factor = n - 2, n + 1", ("tests/test_riemann_roch.py",)),
+    ("registered-verdict", RIEMANN_ROCH, "(math.inf, None, None))\n", "(2 * n + 2, None, None))\n", ("tests/test_riemann_roch.py",)),
     ("rr-eval-guard", RIEMANN_ROCH, "if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:", "if q.bit_length() > RR_EVAL_BITS_LIMIT:", ("tests/test_riemann_roch.py",)),
     ("last-coordinate-remainder", LATTICE, "if rem == 0 and -bound <= x <= bound:", "if -bound <= x <= bound:", ("tests/test_lattice.py",)),
     ("completions-memo-key", LATTICE, "memo[i, c] = out", "memo[i, 0] = out", ("tests/test_lattice.py",)),

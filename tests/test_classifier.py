@@ -151,6 +151,15 @@ def test_candidate_cut_by_a_second_ped_is_rejected():
     assert classify(ctx, (-12, -4, -1)) is None
 
 
+def test_two_decompositions_are_inconsistent_declared_data():
+    """U + <-2>: H = (-2, -2, -1) is 2*(0, -1, 0) + (-2, 0, -1) and also
+    2*(-1, 0, 0) + (0, -2, -1), each passing every test, so the declared
+    peds contradict the uniqueness of the fixed divisor."""
+    ctx = _generic_n1_context([[0, 1, 0], [1, 0, 0], [0, 0, -2]], (-4, -3, 2), [(-2, 0, -1), (0, -2, -1)], 0)
+    with pytest.raises(ConsistencyError, match="admits 2 distinct decompositions of \\[-2, -2, -1\\]"):
+        classify(ctx, (-2, -2, -1))
+
+
 def test_candidate_orthogonal_to_the_ample_class_is_rejected():
     """U + <2>: L = (H - F)/2 = (-4, 1, -2) passes every test before the
     closure test and pairs nonnegatively with the one ped, but (L, ample) = 0,
@@ -410,6 +419,55 @@ def test_check_2h(k3_pencil):
         check_2H(k3_pencil, (5, 2))
 
 
+def family_context(dtype, k, t, order):
+    """U + <-2>^k [+ <-2t>] with basis e, f, c_1..c_k [, delta], as the benchmark's
+    workloads build their geometric families: the peds are every c_i, every f - c_i,
+    f - e and delta, permuted by order, and the ample class is
+    (k + t + 3)e + 2f - sum c_i - delta.  Returns the context, e and the fibre
+    peds f - c_i and f - e: for each such F, m*e + F has the decomposition (m, e, F, 1)."""
+    r = 2 + k + (1 if t else 0)
+    gram = [[0] * r for _ in range(r)]
+    gram[0][1] = gram[1][0] = 1
+    for i in range(2, r):
+        gram[i][i] = -2 * t if t and i == r - 1 else -2
+    unit = [tuple(int(j == i) for j in range(r)) for i in range(r)]
+    e, f, cs = unit[0], unit[1], unit[2:2 + k]
+    fibre = [tuple(a - b for a, b in zip(f, c)) for c in cs + [e]]
+    peds = cs + fibre + unit[2 + k:]
+    ample = (k + t + 3, 2) + (-1,) * (r - 2)
+    ctx = GeometricContext(Lattice(gram), ample, peds=[peds[i] for i in order], dtype=dtype, strong_rlf=True)
+    return ctx, e, fibre
+
+
+@st.composite
+def family_classes(draw):
+    """A geometric family on K3^[n], Kum^n or a Generic type holding K3^[n]'s
+    polynomial, with H = m*e + F for a fibre ped F."""
+    kind = draw(st.sampled_from([K3N, KUMN, GENERIC]))
+    n = draw(st.integers(2 if kind == KUMN else 1, 4))
+    dtype = make_type(kind, n, coeffs=list(make_type(K3N, n).rr.coeffs) if kind == GENERIC else None)
+    k, t = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    count = 2 * k + 1 + (1 if t else 0)
+    ctx, e, fibre = family_context(dtype, k, t, draw(st.permutations(range(count))))
+    m, f_vec = draw(st.integers(2, 300)), draw(st.sampled_from(fibre))
+    return ctx, tuple(m * x + y for x, y in zip(e, f_vec)), Decomposition(m, e, f_vec, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_classes())
+def test_check_2h_holds_on_geometric_families(case):
+    """check_2H is True for every classified H on a consistent geometric family;
+    on Kum^n, H has no decomposition and check_2H refuses it."""
+    ctx, h_vec, expected = case
+    if ctx.dtype.kind == KUMN:
+        assert classify(ctx, h_vec) is None
+        with pytest.raises(DomainError, match="carry a base divisor"):
+            check_2H(ctx, h_vec)
+        return
+    assert classify(ctx, h_vec) == expected
+    assert check_2H(ctx, h_vec)
+
+
 def test_classification_report_shape(k3_pencil):
     report = classification_report(k3_pencil, (3, 1))
     assert report == {
@@ -521,6 +579,23 @@ def test_nl_types_kumn_binomial_match_still_infeasible():
     # survives: q_H = 38 < 2d(m-1) for every d >= 1
     t = make_type(KUMN, 2)
     assert nl_numerical_types(t, 38) == []
+
+
+def test_nl_types_with_chi_below_one_are_none():
+    # RR(q) = q/2 - 2 is -1 at q = 2 and 0 at q = 4: no C(m+1, 1) is that small
+    t = make_type(GENERIC, 1, coeffs=[-2, Fraction(1, 2)])
+    assert nl_numerical_types(t, 2) == []
+    assert nl_numerical_types(t, 4) == []
+
+
+def test_nl_types_limit_admits_a_window_of_its_size(monkeypatch):
+    # RR(q) = q/2 - 996 is 4 = C(3 + 1, 1) at q = 2000, so m = 3 and d runs over 334..500
+    t = make_type(GENERIC, 1, coeffs=[-996, Fraction(1, 2)])
+    monkeypatch.setattr(basediv.classifier, "NL_TYPES_LIMIT", 167)
+    assert [x.d for x in nl_numerical_types(t, 2000)] == list(range(334, 501))
+    monkeypatch.setattr(basediv.classifier, "NL_TYPES_LIMIT", 166)
+    with pytest.raises(CapabilityError, match="admits 167 numerical types"):
+        nl_numerical_types(t, 2000)
 
 
 @given(st.integers(1, 5), st.integers(1, 60), st.integers(1, 40))

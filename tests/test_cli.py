@@ -208,6 +208,15 @@ def test_huge_kumn_box_is_refused_before_allocating(capsys):
     assert err.startswith("error:") and "limit" in err
 
 
+def test_registered_kind_coefficients_must_be_its_closed_form(capsys, tmp_path):
+    cases = [(["3", "5/4", "1/8"], 0, ""), (["0", "-5", "1"], 1, "explicit coefficients must equal it"), ("junk", 2, "deformation.coeffs")]
+    for coeffs, expected, message in cases:
+        path = _with(tmp_path, lambda d: d.update(deformation={"kind": "K3n", "n": 2, "coeffs": coeffs}))
+        for command in (["rr-eval", "--q", "4"], ["classify", "--class", "3,1"], ["validate-context"]):
+            code, out, err = run(capsys, command[0], "--input", path, *command[1:])
+            assert code == expected and message in (err or out), (command, coeffs)
+
+
 def test_validate_context_ok(capsys):
     code, out, _ = run(capsys, "validate-context", "--input", PENCIL)
     assert code == 0

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import sys
 import time
 from decimal import Decimal
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from basediv import (
     CapabilityError,
     ConsistencyError,
+    DeformationType,
     DomainError,
     GENERIC,
     K3N,
@@ -23,7 +26,7 @@ from basediv import (
     rr_eval,
 )
 from basediv import riemann_roch
-from basediv.riemann_roch import RR_EVAL_BITS_LIMIT, _root_bound, _step
+from basediv.riemann_roch import HALF_DIM_LIMIT, RR_EVAL_BITS_LIMIT, _first_event, _root_bound, _step
 
 
 def binom_product(top: int, n: int) -> int:
@@ -73,7 +76,7 @@ def test_generic_validation():
     with pytest.raises(DomainError):
         make_type(GENERIC, 3, coeffs=[1, 1])  # degree mismatch
     with pytest.raises(DomainError):
-        make_type(K3N, 2, coeffs=[1, 1, 1])  # closed-form families reject coeffs
+        make_type(K3N, 2, coeffs=[1, 1, 1])  # not K3^[2]'s closed form
 
 
 def test_rr_eval_parity_rules():
@@ -112,7 +115,7 @@ def test_monotonicity():
     g = make_type(GENERIC, 2, coeffs=[3, -4, 1])
     assert rr_eval(g, 2) == -1  # drops below rr(0) = 3
     assert not check_strict_monotonic(g, 4)
-    # cached verdicts stay consistent across bounds, in either query order
+    # the verdict, fixed at construction, answers every bound in either query order
     assert check_strict_monotonic(g, 0)
     assert not check_strict_monotonic(g, 2)
     g2 = make_type(GENERIC, 2, coeffs=[3, -4, 1])
@@ -279,27 +282,34 @@ def test_clustered_near_roots_are_refused_at_every_q_max():
     for k in range(20):
         r = (1 << 59) + 7919**3 * k
         s = [a - 2 * r * b + (r * r + 1) * c for a, b, c in zip([0, 0] + s, [0] + s + [0], s + [0, 0])]
-    g = make_type(GENERIC, 41, coeffs=coeffs_with_step(s))
+    coeffs = coeffs_with_step(s)
+    start = time.perf_counter()  # the certificate runs when the type is built
+    g = make_type(GENERIC, 41, coeffs=coeffs)
     for q_max in (0, 10**30):
-        start = time.perf_counter()
         with pytest.raises(CapabilityError, match="operations on 64-bit words"):
             check_strict_monotonic(g, q_max)
-        assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < 2
 
 
 def test_huge_root_bound_is_refused_before_evaluating_at_it():
     # b_499 = -1e9800 puts Fujiwara's bound near 2^32556, and b_1 = 1e9999 keeps S(0) > 0:
     # one evaluation of this degree-500 polynomial there takes about a second
-    g = make_type(GENERIC, 500, coeffs=["0", "1e9999"] + ["0"] * 497 + ["-1e9800", "1"])
-    assert riemann_roch._root_bound(riemann_roch._step(g.rr.nums)).bit_length() > 32000
+    coeffs = ["0", "1e9999"] + ["0"] * 497 + ["-1e9800", "1"]
+    start = time.perf_counter()  # the certificate runs when the type is built
+    g = make_type(GENERIC, 500, coeffs=coeffs)
     for budget in (2, 0.01):  # the refusal is kept, so the second call reads it
-        start = time.perf_counter()
         with pytest.raises(CapabilityError, match="operations on 64-bit words"):
             check_strict_monotonic(g, 0)
         assert time.perf_counter() - start < budget
+        start = time.perf_counter()
+    assert riemann_roch._root_bound(riemann_roch._step(g.rr.nums)).bit_length() > 32000
 
 
 def test_large_n_types_certify_with_exact_values():
+    start = time.perf_counter()
+    t = make_type(K3N, HALF_DIM_LIMIT)
+    assert check_strict_monotonic(t, 10**12)
+    assert time.perf_counter() - start < 2  # the expansion alone: no check runs
     t = make_type(K3N, 400)
     assert check_strict_monotonic(t, 800)
     assert check_strict_monotonic(t, 10**12)
@@ -349,6 +359,85 @@ def test_registered_families_have_nonnegative_coefficients():
         assert all(c >= 0 for c in make_type(K3N, n).rr.coeffs)
     for n in range(2, 11):
         assert all(c >= 0 for c in make_type(KUMN, n).rr.coeffs)
+
+
+def test_registered_verdict_is_the_theorem():
+    """The hypotheses of the theorem that fixes the K3^[n] and Kum^n verdicts: every
+    numerator is positive and the values at 0, ..., 2n are integers, so that
+    _first_event finds no event, as the stored verdict says."""
+    types = [make_type(K3N, n) for n in range(1, 51)] + [make_type(KUMN, n) for n in range(2, 51)]
+    for t in types:
+        assert min(t.rr.nums) > 0, t
+        assert all(t.rr.numerator(q) % t.rr.den == 0 for q in range(0, 2 * t.n + 1, 2)), t
+        assert _first_event(t.rr, t.n) == t._verdict == (math.inf, None, None), t
+
+
+def test_generic_verdict_is_fixed_at_construction():
+    assert make_type(GENERIC, 2, coeffs=[3, -4, 1])._verdict == (2, None, None)
+    assert make_type(GENERIC, 1, coeffs=[2, 1])._verdict == (math.inf, None, None)
+    q, error, message = make_type(GENERIC, 1, coeffs=[Fraction(1, 3), 1])._verdict
+    assert (q, error) == (0, ConsistencyError) and message.startswith("RR value at q=0 is 1/3")
+
+
+@pytest.mark.parametrize(
+    "kind, n, coeffs, message",
+    [
+        (K3N, 2, [0, -5, 1], "K3n carries a closed-form RR polynomial; explicit coefficients must equal it"),
+        (KUMN, 2, [3, 1, 1], "Kumn carries a closed-form RR polynomial; explicit coefficients must equal it"),
+        (KUMN, 1, [2, 1], r"Kumn requires n >= 2 \(Kum\^1 is not a registered type\)"),
+        # the constructor checks the degree of every kind first
+        (K3N, 2, [3, 1], "RR polynomial must have degree exactly n=2, got degree 1|K3n carries .* must equal it"),
+        (10**5000, 2, [3, 1, 1], "unknown deformation kind <integer of 5001 digits>"),
+    ],
+    ids=["k3n-other", "kumn-other", "kum1", "degree", "unprintable-kind"],
+)
+def test_registered_kinds_hold_only_their_closed_form(kind, n, coeffs, message):
+    """On every path: the constructor, make_type and the JSON reader."""
+    calls = [lambda: DeformationType(kind, n, RRPolynomial(coeffs)), lambda: make_type(kind, n, coeffs=coeffs)]
+    if type(kind) is str:
+        calls.append(lambda: deformation_from_json_dict({"kind": kind, "n": n, "coeffs": list(map(str, coeffs))}))
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^(?:{message})$"):
+            call()
+
+
+def test_closed_form_coefficients_give_the_registered_instance():
+    t = make_type(K3N, 2)
+    assert make_type(K3N, 2, coeffs=["3", "5/4", Fraction(1, 8)]) is t
+    assert make_type(KUMN, 3, coeffs=list(make_type(KUMN, 3).rr.coeffs)) is make_type(KUMN, 3)
+    other = DeformationType(K3N, 2, RRPolynomial([3, Fraction(5, 4), Fraction(1, 8)]))
+    assert other is not t and (other.kind, other.n, other.rr, other._verdict) == (t.kind, t.n, t.rr, t._verdict)
+    for n in (2, 7, HALF_DIM_LIMIT):
+        make_type(K3N, n), make_type(KUMN, n)
+    for t in list(riemann_roch._registry.values()):  # every registered type
+        assert deformation_from_json_dict(t.to_json_dict()) is t
+
+
+def test_coefficients_on_a_registered_kind_are_read_after_the_kind_and_n():
+    with pytest.raises(DomainError, match="^unknown deformation kind 'OG6'$"):
+        deformation_from_json_dict({"kind": "OG6", "n": 2, "coeffs": "junk"})
+    with pytest.raises(DomainError, match="^K3n requires n >= 1$"):
+        deformation_from_json_dict({"kind": K3N, "n": 0, "coeffs": "junk"})
+    with pytest.raises(StructuralError, match="^deformation.coeffs must be an array, got 'junk'$"):
+        deformation_from_json_dict({"kind": K3N, "n": 2, "coeffs": "junk"})
+    with pytest.raises(StructuralError, match=r"^deformation.coeffs\[1\] must be a rational number"):
+        deformation_from_json_dict({"kind": KUMN, "n": 2, "coeffs": ["3", "x", "9/8"]})
+
+
+def test_types_are_immutable_and_pickle_by_value():
+    types = [make_type(K3N, 3), make_type(GENERIC, 2, coeffs=[3, -4, 1]), make_type(GENERIC, 1, coeffs=[Fraction(1, 3), 1])]
+    for t in types:
+        for obj, fields in ((t, ("kind", "n", "rr", "_verdict")), (t.rr, ("nums", "den"))):
+            for field in fields:
+                with pytest.raises(AttributeError, match=f"immutable {type(obj).__name__}"):
+                    setattr(obj, field, None)
+                with pytest.raises(AttributeError, match=f"immutable {type(obj).__name__}"):
+                    delattr(obj, field)
+        for copied in (pickle.loads(pickle.dumps(t)), copy.deepcopy(t), copy.copy(t)):
+            assert type(copied) is DeformationType and type(copied.rr) is RRPolynomial
+            assert copied == t and hash(copied) == hash(t) and copied._verdict == t._verdict
+            assert pickle.loads(pickle.dumps(t.rr)) == t.rr
+    assert make_type(GENERIC, 2, coeffs=[3, -4, 1]) != make_type(GENERIC, 2, coeffs=[3, -4, 2])
 
 
 def fujiki(t) -> Fraction:
@@ -401,7 +490,8 @@ def test_json_round_trip():
     t = make_type(K3N, 2)
     data = t.to_json_dict()
     assert data == {"kind": "K3n", "n": 2, "coeffs": ["3", "5/4", "1/8"]}
-    assert deformation_from_json_dict(data) is t  # registry cache
+    assert deformation_from_json_dict(data) is t  # the registered instance
+    assert deformation_from_json_dict({"kind": "K3n", "n": 2}) is t
     g = deformation_from_json_dict({"kind": "Generic", "n": 1, "coeffs": ["2", "1/2"]})
     assert rr_eval(g, 2) == 3
     with pytest.raises(Exception):

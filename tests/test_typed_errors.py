@@ -26,6 +26,8 @@ from basediv import (
     K3N,
     KUMN,
     Lattice,
+    RRPolynomial,
+    StructuralError,
     check_strict_monotonic,
     deformation_from_json_dict,
     enumerate_vectors,
@@ -142,15 +144,22 @@ def test_only_typed_errors_escape_within_the_budget(call):
 
 
 @pytest.mark.parametrize(
-    "fn, args",
+    "fn, args, match",
     [
-        (invert_binomial, ("3", 2)),
-        (DeformationType, (K3N, "2", make_type(K3N, 2).rr)),
-        (enumerate_vectors, (Lattice([[2]]), "x", 3)),
-        (enumerate_vectors, (Lattice([[2]]), 0, "3")),
+        (invert_binomial, ("3", 2), "integer"),
+        (DeformationType, (K3N, "2", make_type(K3N, 2).rr), "integer"),
+        (DeformationType, (10**5000, 2, make_type(K3N, 2).rr), "^unknown deformation kind <integer of 5001 digits>$"),
+        (enumerate_vectors, (Lattice([[2]]), "x", 3), "integer"),
+        (enumerate_vectors, (Lattice([[2]]), 0, "3"), "integer"),
+        (RRPolynomial, (5,), "^coeffs must be a list or tuple, got 5$"),
     ],
-    ids=["invert-binomial-value", "deformation-type-n", "enumerate-square", "enumerate-bound"],
+    ids=["invert-binomial-value", "deformation-type-n", "deformation-type-kind", "enumerate-square", "enumerate-bound", "rr-polynomial"],
 )
-def test_wrongly_typed_value_arguments_are_domain_errors(fn, args):
-    with pytest.raises(DomainError, match="integer"):
+def test_wrongly_typed_value_arguments_are_domain_errors(fn, args, match):
+    with pytest.raises(DomainError, match=match):
         fn(*args)
+
+
+def test_a_vector_that_is_not_a_sequence_is_a_structural_error():
+    with pytest.raises(StructuralError, match="^a vector must be a sequence of integers, got 5$"):
+        Lattice([[1]]).vector(5)
