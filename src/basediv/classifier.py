@@ -197,9 +197,7 @@ def verify_decomposition(ctx: GeometricContext, H: Iterable[int], dec: Decomposi
         return False
     if chi != math.comb(dec.m + ctx.dtype.n, ctx.dtype.n):
         return False
-    if not in_bk_closure(ctx, l_vec):
-        return False
-    return True
+    return in_bk_closure(ctx, l_vec)
 
 
 def check_2H(ctx: GeometricContext, H: Iterable[int]) -> bool:

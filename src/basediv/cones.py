@@ -33,6 +33,8 @@ from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError
 from .lattice import (
     Lattice,
     Vec,
+    _Record,
+    _set,
     as_array,
     divisibility,
     dot,
@@ -41,7 +43,7 @@ from .lattice import (
     pairing,
     square,
 )
-from .riemann_roch import DeformationType, _Record, _set, deformation_from_json_dict
+from .riemann_roch import DeformationType, deformation_from_json_dict
 
 # rank2_exceptional_scan refuses bounds beyond this, as the box sweep it replaced did.
 RANK2_SCAN_BOUND_LIMIT = 500
@@ -62,6 +64,9 @@ class ContextCheck(_Record, hidden=("error",)):
     @property
     def structural(self) -> bool:
         return isinstance(self.error, StructuralError)
+
+    def __reduce__(self):
+        return ContextCheck, self._values() + (self.error,)
 
 
 def _fail(checks: list[ContextCheck], name: str, error: BasedivError) -> None:
@@ -162,26 +167,34 @@ def run_context_checks(
     return checks
 
 
-class GeometricContext:
+def _field_checks(checks, lat, ample, peds, walls, strong_rlf, note, note_given) -> list[ContextCheck]:
+    """checks, extended in report order by those of strong_rlf, run_context_checks and note."""
+    if not isinstance(strong_rlf, bool):
+        _fail(checks, "strong_rlf", StructuralError(f'context "strong_rlf" must be a JSON boolean, got {show_value(strong_rlf)}'))
+    checks.extend(run_context_checks(lat, ample, peds, walls))
+    if note_given and not isinstance(note, str):
+        _fail(checks, "note", StructuralError(f"note must be a string, got {show_value(note)}"))
+    return checks
+
+
+class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds")):
     """Lattice + ample class + declared divisor data + hypothesis flags.
 
-    Construction validates every invariant and raises on the first failure,
-    so a constructed context can be trusted downstream.  ``strong_rlf``
-    declares that primitive isotropic classes in the birational Kaehler
-    closure induce Lagrangian fibrations; the classifier refuses to run
-    without it.  ``note`` is free-form provenance, e.g. recording that the
-    lattice is a Picard sublattice (divisibilities computed in a sublattice
-    may exceed those in the full lattice).  ``g_ample`` and ``g_peds`` hold
-    G*ample and G*D for each ped D, so that a checked class pairs with them by
-    a plain dot product; ``q_peds`` holds q(D) per ped.  ``ped_table`` holds,
-    for each ped D_i, the row ((D_i, ample), (D_i, D_0), ..., (D_i, D_{k-1})):
-    the classifier's closure test and the walk's height read it instead of
-    pairing again.  ``rows`` stacks the Gram rows, G*ample, the G*D and G*W
-    for each wall W: one pass of dot products with a checked class v gives
-    G*v and every pairing of v.
+    Construction checks every field and raises on the first failure, so a
+    constructed context, an immutable record, can be trusted downstream.
+    ``strong_rlf`` declares that primitive isotropic classes in the
+    birational Kaehler closure induce Lagrangian fibrations; the classifier
+    refuses to run without it.  ``note`` is free-form provenance, e.g. that
+    the lattice is a Picard sublattice (divisibilities computed in a
+    sublattice may exceed those in the full lattice).  ``rows`` stacks the
+    Gram rows, G*ample, G*D per ped D and G*W per wall W: one pass of dot
+    products with a checked class v gives G*v and every pairing of v.
+    ``ped_table`` holds per ped D_i the row ((D_i, ample), (D_i, D_0), ...,
+    (D_i, D_{k-1})), read instead of pairing again, and ``q_peds`` its
+    diagonal q(D_i), which the ped scan zips faster than it indexes.
     """
 
-    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "g_ample", "g_peds", "q_peds", "ped_table", "rows")
+    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "rows", "ped_table", "q_peds")
 
     def __init__(
         self,
@@ -193,23 +206,17 @@ class GeometricContext:
         strong_rlf: bool = False,
         note: str | None = None,
     ):
-        _raise_first(run_context_checks(lat, ample, peds, walls))
+        _raise_first(_field_checks([], lat, ample, peds, walls, strong_rlf, note, note is not None))
         self._fill(lat, ample, peds, walls, dtype, strong_rlf, note)
 
     def _fill(self, lat, ample, peds, walls, dtype, strong_rlf, note) -> None:
-        """Store data that run_context_checks has passed."""
-        self.lat = lat
-        self.ample = tuple(ample)
-        self.peds = tuple(map(tuple, peds))
-        self.walls = tuple(map(tuple, walls))
-        self.dtype = dtype
-        self.strong_rlf = bool(strong_rlf)
-        self.note = note
-        self.g_ample = gram_image(lat, self.ample)
-        self.g_peds = tuple(gram_image(lat, d) for d in self.peds)
-        self.q_peds = tuple(map(dot, self.peds, self.g_peds))
-        self.ped_table = tuple(tuple(dot(d, g) for g in (self.g_ample,) + self.g_peds) for d in self.peds)
-        self.rows = lat.gram + (self.g_ample,) + self.g_peds + tuple(gram_image(lat, w) for w in self.walls)
+        """Store fields that _field_checks has passed, and the derived tables."""
+        ample, peds, walls = tuple(ample), tuple(map(tuple, peds)), tuple(map(tuple, walls))
+        rows = lat.gram + tuple(gram_image(lat, v) for v in (ample,) + peds + walls)
+        ped_table = tuple(tuple(dot(d, g) for g in rows[lat.rank:lat.rank + 1 + len(peds)]) for d in peds)
+        q_peds = tuple(row[i + 1] for i, row in enumerate(ped_table))
+        for name, value in zip(self.__slots__, (lat, ample, peds, walls, dtype, strong_rlf, note, rows, ped_table, q_peds)):
+            _set(self, name, value)
 
     def to_json_dict(self) -> dict:
         data = {
@@ -244,7 +251,8 @@ def validate_context_payload(data) -> tuple[GeometricContext | None, list[Contex
 
     Returns the context built from the checked values when everything
     passes, else None, together with the full check report.  A malformed
-    field fails a structural check whose message names its path.
+    field fails a structural check whose message names its path.  The
+    constructor's checks follow, but a "note" holding null is refused.
     """
     checks: list[ContextCheck] = []
     if not isinstance(data, dict):
@@ -265,14 +273,9 @@ def validate_context_payload(data) -> tuple[GeometricContext | None, list[Contex
             checks.append(ContextCheck("deformation", True, repr(dtype)))
     else:
         checks.append(ContextCheck("deformation", True, "absent (classification unavailable)"))
-    strong_rlf, note = data.get("strong_rlf", False), data.get("note")
-    if not isinstance(strong_rlf, bool):
-        error = StructuralError(f'context "strong_rlf" must be a JSON boolean, got {show_value(strong_rlf)}')
-        _fail(checks, "strong_rlf", error)
     ample, peds, walls = data["ample"], data.get("peds", ()), data.get("walls", ())
-    checks.extend(run_context_checks(lat, ample, peds, walls))
-    if "note" in data and not isinstance(note, str):
-        _fail(checks, "note", StructuralError(f"note must be a string, got {show_value(note)}"))
+    strong_rlf, note = data.get("strong_rlf", False), data.get("note")
+    _field_checks(checks, lat, ample, peds, walls, strong_rlf, note, "note" in data)
     if not all(c.passed for c in checks):
         return None, checks
     ctx = GeometricContext.__new__(GeometricContext)
@@ -356,12 +359,14 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     qa = dot(current, gram_image(ctx.lat, current))
     if qa < 0:
         raise DomainError(f"q(alpha) = {show_int(qa)} must be nonnegative (closed positive cone)")
-    height = dot(current, ctx.g_ample)
+    r = ctx.lat.rank
+    height = dot(current, ctx.rows[r])
     if height <= 0:
         raise DomainError(f"(alpha, ample) = {show_int(height)} must be positive")
+    g_peds = ctx.rows[r + 1:r + 1 + len(ctx.peds)]
     steps: list[tuple[Vec, int]] = []
     while True:
-        for i, g_d in enumerate(ctx.g_peds):
+        for i, g_d in enumerate(g_peds):
             p = sum(map(mul, current, g_d))
             if p < 0:
                 break
@@ -396,21 +401,19 @@ def in_positive_cone(ctx: GeometricContext, alpha: Iterable[int], closed: bool =
     if closed and not any(a):
         return True
     qa = dot(a, gram_image(ctx.lat, a))
-    return (qa >= 0 if closed else qa > 0) and dot(a, ctx.g_ample) > 0
+    return (qa >= 0 if closed else qa > 0) and dot(a, ctx.rows[ctx.lat.rank]) > 0
 
 
-def in_bk_closure(ctx: GeometricContext, alpha: Iterable[int], include_walls: bool = False) -> bool:
+def in_bk_closure(ctx: GeometricContext, alpha: Iterable[int]) -> bool:
     """Closed positive cone and (alpha, D) >= 0 for every declared ped.
 
     This decides membership in the birational-Kaehler closure *relative to
     the declared divisor set*; it is exact on the necessary side and as
-    complete as the declaration.  Wall-strict mode additionally requires
-    nonnegative pairing with the declared walls (a finer chamber condition
-    than the closure itself).
+    complete as the declaration.
     """
     a = ctx.lat.vector(alpha)
-    cutters = ctx.rows[ctx.lat.rank + 1:] if include_walls else ctx.g_peds  # every G*D, then every G*W
-    return in_positive_cone(ctx, a, closed=True) and all(dot(a, g) >= 0 for g in cutters)
+    g_peds = ctx.rows[ctx.lat.rank + 1:ctx.lat.rank + 1 + len(ctx.peds)]
+    return in_positive_cone(ctx, a, closed=True) and all(dot(a, g) >= 0 for g in g_peds)
 
 
 def ped_inequality_check(lat: Lattice, d: Iterable[int]) -> bool:

@@ -19,7 +19,7 @@ import math
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-from .errors import CapabilityError, DomainError, StructuralError, require_int, show_value
+from .errors import CapabilityError, DomainError, StructuralError, require_int, show_int, show_value
 
 Vec = tuple[int, ...]
 
@@ -31,6 +31,52 @@ ENUM_PREFIX_LIMIT = 10**6
 ENUM_OUTPUT_LIMIT = 10**6
 
 _INT = frozenset((int,))
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the immutable records.
+
+    A subclass names its fields in ``__slots__`` and sets each once in its
+    ``__init__`` through ``_set``.  Two records are equal when they are of
+    the same class and their fields are; hash and repr use the same fields.
+    Fields named in the class keyword ``hidden`` take no part in any of the
+    three; pickle and copy call the class on the others.  Assigning or
+    deleting a field raises AttributeError.  Records are not dataclasses
+    because ``dataclasses`` imports ``inspect``, about 10 ms of every CLI
+    call's start-up; an ``__init__`` written out as a frozen dataclass would
+    generate it constructs no slower.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden=()):
+        super().__init_subclass__()
+        cls._fields = tuple(f for f in cls.__slots__ if f not in hidden)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={show_value(getattr(self, f))}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {self.__class__.__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {self.__class__.__name__}")
 
 
 def _as_int(x) -> int:
@@ -46,7 +92,7 @@ def as_array(value, path: str):
     return value
 
 
-class Lattice:
+class Lattice(_Record, hidden=("rank",)):
     """Integral lattice presented by a symmetric Gram matrix.
 
     The ``even`` flag asserts that q(v) is even for every integer vector v.
@@ -56,10 +102,13 @@ class Lattice:
     the diagonal.
     """
 
-    __slots__ = ("gram", "rank", "even")
+    __slots__ = ("gram", "even", "rank")
 
     def __init__(self, gram: Sequence[Sequence[int]], even: bool | None = None):
-        rows = tuple(tuple(_as_int(x) for x in row) for row in gram)
+        if even is not None and not isinstance(even, bool):
+            raise StructuralError(f'lattice "even" must be a JSON boolean or null, got {show_value(even)}')
+        rows = [as_array(row, f"lattice.gram[{i}]") for i, row in enumerate(as_array(gram, "lattice.gram"))]
+        rows = tuple(tuple(map(_as_int, row)) for row in rows)
         n = len(rows)
         if n == 0:
             raise StructuralError("Gram matrix must have positive rank")
@@ -72,13 +121,11 @@ class Lattice:
                         f"Gram matrix must be symmetric; entries ({i},{j}) and ({j},{i}) differ"
                     )
         diag_even = all(rows[i][i] % 2 == 0 for i in range(n))
-        if even is None:
-            even = diag_even
-        elif even and not diag_even:
+        if even and not diag_even:
             raise StructuralError("lattice flagged even, but the Gram diagonal has an odd entry")
-        self.gram = rows
-        self.rank = n
-        self.even = bool(even)
+        _set(self, "gram", rows)
+        _set(self, "even", diag_even if even is None else even)
+        _set(self, "rank", n)
 
     def vector(self, coords: Iterable[int]) -> Vec:
         """Validate and normalize a coordinate vector for this lattice."""
@@ -99,21 +146,7 @@ class Lattice:
     def from_json_dict(cls, data: dict) -> "Lattice":
         if not isinstance(data, dict) or "gram" not in data:
             raise StructuralError('lattice JSON must be an object with a "gram" key')
-        even = data.get("even")
-        if even is not None and not isinstance(even, bool):
-            raise StructuralError(f'lattice "even" must be a JSON boolean or null, got {show_value(even)}')
-        gram = as_array(data["gram"], "lattice.gram")
-        return cls([as_array(row, f"lattice.gram[{i}]") for i, row in enumerate(gram)], even)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Lattice)
-            and self.gram == other.gram
-            and self.even == other.even
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.gram, self.even))
+        return cls(data["gram"], data.get("even"))
 
     def __repr__(self) -> str:
         return f"Lattice(rank={self.rank}, even={self.even})"
@@ -207,11 +240,11 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
     require_int("square_value", square_value)
     if isinstance(coeff_bound, bool) or not isinstance(coeff_bound, int) or coeff_bound < 1:
         raise DomainError("coeff_bound must be an integer >= 1")
-    prefixes = (2 * coeff_bound + 1) ** max(lat.rank - 1, 1)
+    prefixes = (2 * min(coeff_bound, ENUM_PREFIX_LIMIT) + 1) ** max(lat.rank - 1, 1)  # short, from a capped bound
     if prefixes > ENUM_PREFIX_LIMIT:
         raise CapabilityError(
-            f"box enumeration at rank {lat.rank}, bound {coeff_bound} visits {prefixes} prefixes;"
-            f" the limit is {ENUM_PREFIX_LIMIT}"
+            f"box enumeration at rank {lat.rank}, bound {show_int(coeff_bound)} visits"
+            f" {'more than ' if coeff_bound > ENUM_PREFIX_LIMIT else ''}{prefixes} prefixes; the limit is {ENUM_PREFIX_LIMIT}"
         )
     if lat.rank == 1:
         return [(x,) for x in _last_coordinate(lat.gram[0][0], 0, -square_value, coeff_bound)]

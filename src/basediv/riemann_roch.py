@@ -26,7 +26,7 @@ import math
 from collections.abc import Sequence
 
 from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError, require_int, show_int, show_value
-from .lattice import as_array
+from .lattice import _Record, _set, as_array
 
 K3N = "K3n"
 KUMN = "Kumn"
@@ -49,53 +49,6 @@ HALF_DIM_LIMIT = 500
 # rr_eval refuses when n * q.bit_length(), about the value's bit length, exceeds
 # this: at the limit it takes 0.3 s at n = 500, 0.4 ms at n = 1 (2-vCPU Xeon).
 RR_EVAL_BITS_LIMIT = 2**19
-
-
-_set = object.__setattr__
-
-
-class _Record:
-    """Base of the immutable records.
-
-    A subclass names its fields in ``__slots__`` and sets each once in its
-    ``__init__`` through ``_set``.  Two records are equal when they are of
-    the same class and their fields are; hash and repr use the same fields.
-    Fields named in the class keyword ``hidden`` take no part in any of the
-    three.  Assigning or deleting a field raises AttributeError.  Records
-    are not dataclasses because ``dataclasses`` imports ``inspect``, about
-    10 ms of every CLI call's start-up; an ``__init__`` written out as a
-    frozen dataclass would generate it constructs no slower.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, hidden=()):
-        super().__init_subclass__()
-        cls._fields = tuple(f for f in cls.__slots__ if f not in hidden)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable {self.__class__.__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable {self.__class__.__name__}")
 
 
 class RRPolynomial(_Record):
@@ -209,9 +162,6 @@ class DeformationType(_Record, hidden=("_verdict",)):
         for name, value in zip(self.__slots__, (kind, n, rr, verdict)):
             _set(self, name, value)
 
-    def __reduce__(self):
-        return DeformationType, (self.kind, self.n, self.rr)
-
     def __repr__(self) -> str:
         return f"DeformationType({self.kind}, n={self.n})"
 
@@ -300,7 +250,7 @@ def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
     would pass RR_EVAL_BITS_LIMIT bits raises CapabilityError.
     """
     if isinstance(q, bool) or not isinstance(q, int):
-        raise DomainError(f"q must be an integer, got {q!r}")
+        raise DomainError(f"q must be an integer, got {show_value(q)}")
     if q % 2 != 0 and not (allow_odd and t.kind == GENERIC):
         raise DomainError(f"q must be even (even-lattice convention), got {show_int(q)}")
     if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:
@@ -423,16 +373,20 @@ def invert_binomial(value: int, n: int) -> int | None:
     """The unique m >= 1 with C(m+n, n) = value, or None.
 
     Uniqueness holds because the binomial is strictly increasing in the top
-    argument once the top is at least n.
+    argument once the top is at least n.  As (m+1)^n <= n! C(m+n, n) <= (m+n)^n,
+    m lies in [k - n, k - 1] for k the integer n-th root of n! * value, where a
+    bisection finds it.  An n over HALF_DIM_LIMIT, or a value of more bits than
+    RR_EVAL_BITS_LIMIT (0.5 s at the limit), raises CapabilityError.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError("n must be a positive integer")
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise DomainError("value must be a positive integer")
-    hi = 1
-    while math.comb(hi + n, n) < value:
-        hi *= 2
-    lo = 1
+    _check_degree(n, 0)
+    if value.bit_length() > RR_EVAL_BITS_LIMIT:
+        raise CapabilityError(f"binomial inversion of a value of {value.bit_length()} bits passes the limit of {RR_EVAL_BITS_LIMIT} bits")
+    k = _iroot(math.factorial(n) * value, n)
+    lo, hi = max(k - n, 1), max(k - 1, 1)
     while lo < hi:
         mid = (lo + hi) // 2
         if math.comb(mid + n, n) < value:
@@ -440,6 +394,17 @@ def invert_binomial(value: int, n: int) -> int | None:
         else:
             hi = mid
     return lo if math.comb(lo + n, n) == value else None
+
+
+def _iroot(x: int, n: int) -> int:
+    """floor(x^(1/n)) for x >= 1.  Newton's iteration in integers falls to the root
+    from any start above it; the start is 2^ceil(bits/n), or past 64 bits the root
+    of x's leading bits scaled back, which holds about half the root's bits."""
+    e = x.bit_length() // n // 2
+    r = (_iroot(x >> n * e, n) + 1) << e if e >= 32 else 1 << -(-x.bit_length() // n)
+    while (s := ((n - 1) * r + x // r ** (n - 1)) // n) < r:
+        r = s
+    return r
 
 
 def deformation_from_json_dict(data: dict) -> DeformationType:

@@ -56,6 +56,17 @@ MUTANTS = (
     ("walk-scalar", CONES, "num = 2 * p\n", "num = 4 * p\n", WALK_TESTS),
     ("walk-height-column", CONES, "height - a * d_row[0]", "height - a * d_row[1]", WALK_TESTS),
     ("walk-descent", CONES, "if not (0 < new_height < height):", "if not (new_height < height):", WALK_TESTS),
+    # the ped images the walk and the closure test slice from the context's rows,
+    # and q(D), the diagonal of the ped table
+    ("walk-ped-slice-start", CONES, "g_peds = ctx.rows[r + 1:r + 1 + len(ctx.peds)]\n    steps", "g_peds = ctx.rows[r:r + 1 + len(ctx.peds)]\n    steps", WALK_TESTS),
+    ("walk-ped-slice-end", CONES, "g_peds = ctx.rows[r + 1:r + 1 + len(ctx.peds)]\n    steps", "g_peds = ctx.rows[r + 1:]\n    steps", WALK_TESTS),
+    ("closure-ped-slice-start", CONES, "ctx.rows[ctx.lat.rank + 1:ctx.lat.rank + 1", "ctx.rows[ctx.lat.rank + 2:ctx.lat.rank + 1", WALK_TESTS),
+    ("closure-ped-slice-end", CONES, "ctx.rows[ctx.lat.rank + 1:ctx.lat.rank + 1 + len(ctx.peds)]", "ctx.rows[ctx.lat.rank + 1:]", WALK_TESTS),
+    ("ped-table-diagonal", CONES, "row[i + 1] for i, row", "row[i] for i, row", WALK_TESTS),
+    # each constructor checks the fields it stores
+    ("strong-rlf-type", CONES, "if not isinstance(strong_rlf, bool):", "if False:", WALK_TESTS),
+    ("note-type", CONES, "if note_given and not isinstance(note, str):", "if False:", WALK_TESTS),
+    ("even-type", LATTICE, "if even is not None and not isinstance(even, bool):", "if False:", ("tests/test_lattice.py",)),
     # the guards and helpers below the classifier
     # the monotonicity certificate: integrality up to 2n, the tie, and the root isolation
     ("monotonic-integrality-end", RIEMANN_ROCH, "range(0, 2 * n + 1, 2)", "range(0, 2 * n - 1, 2)", ("tests/test_riemann_roch.py",)),
@@ -69,6 +80,9 @@ MUTANTS = (
     ("closed-form-comparison", RIEMANN_ROCH, "if rr is not None and rr != t.rr:", "if False:", ("tests/test_riemann_roch.py",)),
     ("kumn-negative-shift", RIEMANN_ROCH, "shift, factor = n, n + 1", "shift, factor = n - 2, n + 1", ("tests/test_riemann_roch.py",)),
     ("registered-verdict", RIEMANN_ROCH, "(math.inf, None, None))\n", "(2 * n + 2, None, None))\n", ("tests/test_riemann_roch.py",)),
+    # the binomial inversion's window [k - n, k - 1] around the integer root k
+    ("binomial-window-low", RIEMANN_ROCH, "max(k - n, 1), ", "max(k - n + 1, 1), ", ("tests/test_riemann_roch.py",)),
+    ("binomial-window-high", RIEMANN_ROCH, "max(k - 1, 1)", "max(k - 2, 1)", ("tests/test_riemann_roch.py",)),
     ("rr-eval-guard", RIEMANN_ROCH, "if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:", "if q.bit_length() > RR_EVAL_BITS_LIMIT:", ("tests/test_riemann_roch.py",)),
     ("last-coordinate-remainder", LATTICE, "if rem == 0 and -bound <= x <= bound:", "if -bound <= x <= bound:", ("tests/test_lattice.py",)),
     ("completions-memo-key", LATTICE, "memo[i, c] = out", "memo[i, 0] = out", ("tests/test_lattice.py",)),

@@ -367,8 +367,14 @@ def test_verify_decomposition_returns_false_only_on_library_errors(k3_pencil, mo
          ContextCheck("schema", True, "bad"), "ContextCheck(name='schema', passed=False, detail='bad')"),
         (ReflectionTrace(result=(1, 0), steps=(((-1, 1), 1),)), ReflectionTrace((1, 0), (((-1, 1), 1),)),
          ReflectionTrace((1, 0)), "ReflectionTrace(result=(1, 0), steps=(((-1, 1), 1),))"),
+        (Lattice([[0, 1], [1, -2]]), Lattice(((0, 1), (1, -2)), even=True), Lattice([[0, 1], [1, -2]], even=False),
+         "Lattice(rank=2, even=True)"),
+        (GeometricContext(Lattice([[0, 1], [1, -2]]), [3, 1], [[0, 1]], dtype=make_type(K3N, 1), strong_rlf=True),
+         GeometricContext(Lattice([[0, 1], [1, -2]]), (3, 1), ((0, 1),), (), make_type(K3N, 1), True),
+         GeometricContext(Lattice([[0, 1], [1, -2]]), (3, 1), [(0, 1)], dtype=make_type(K3N, 1)),
+         "GeometricContext(rank=2, peds=1, walls=0, dtype=DeformationType(K3n, n=1), strong_rlf=True)"),
     ],
-    ids=["Decomposition", "NumericalNLType", "ContextCheck", "ReflectionTrace"],
+    ids=["Decomposition", "NumericalNLType", "ContextCheck", "ReflectionTrace", "Lattice", "GeometricContext"],
 )
 def test_records_compare_hash_and_print_by_their_fields(record, same, other, text):
     fields = type(record).__slots__
@@ -388,11 +394,25 @@ def test_records_compare_hash_and_print_by_their_fields(record, same, other, tex
         record.extra = 0
 
 
+@pytest.mark.parametrize(
+    "record, text",
+    [
+        (NumericalNLType(m=10**5000, d=1, qF=-2), "NumericalNLType(m=<integer of 5001 digits>, d=1, qF=-2)"),
+        (Decomposition(2, (10**5000, 0), (0, 1), 1), "Decomposition(m=2, L=<tuple holding an integer too long to print>, F=(0, 1), d=1)"),
+        (ReflectionTrace((10**5000,), ()), "ReflectionTrace(result=<tuple holding an integer too long to print>, steps=())"),
+    ],
+    ids=["NumericalNLType", "Decomposition", "ReflectionTrace"],
+)
+def test_record_repr_abbreviates_long_integers(record, text):
+    assert repr(record) == text
+
+
 def test_context_check_error_is_ignored_by_eq_hash_and_repr():
     check = ContextCheck("schema", False, "bad", StructuralError("bad"))
     plain = ContextCheck("schema", False, "bad")
     assert check == plain and hash(check) == hash(plain) and repr(check) == repr(plain)
     assert check.structural and not plain.structural
+    assert pickle.loads(pickle.dumps(check)).structural
     assert ReflectionTrace((1, 0)).steps == ()
 
 

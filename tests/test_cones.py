@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,8 @@ from basediv import (
     DomainError,
     GeometricContext,
     IntegralityError,
+    K3N,
+    Lattice,
     ReflectionTrace,
     StructuralError,
     classify,
@@ -18,6 +22,7 @@ from basediv import (
     in_bk_closure,
     in_positive_cone,
     k3_ped_candidates,
+    make_type,
     pairing,
     ped_inequality_check,
     rank2_exceptional_scan,
@@ -88,6 +93,80 @@ def test_validate_payload_accepts_good_context():
     assert ctx is not None
     assert all(c.passed for c in checks)
     assert ctx.to_json_dict()["peds"] == [[0, 1]]
+
+
+PENCIL_ARGS = (Lattice([[0, 1], [1, -2]]), (3, 1), [(0, 1)], (), make_type(K3N, 1))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"strong_rlf": "false"}, "^context \"strong_rlf\" must be a JSON boolean, got 'false'$"),
+        ({"strong_rlf": 1}, "^context \"strong_rlf\" must be a JSON boolean, got 1$"),
+        ({"note": 5}, "^note must be a string, got 5$"),
+        ({"note": b"x", "strong_rlf": True}, "^note must be a string, got b'x'$"),
+    ],
+    ids=["strong-rlf-string", "strong-rlf-int", "note-int", "note-bytes"],
+)
+def test_constructor_checks_the_flags_as_the_reader_does(kwargs, message):
+    with pytest.raises(StructuralError, match=message):
+        GeometricContext(*PENCIL_ARGS, **kwargs)
+    data = dict(GeometricContext(*PENCIL_ARGS).to_json_dict(), **kwargs)
+    with pytest.raises(StructuralError, match=message):
+        GeometricContext.from_json_dict(data)
+
+
+def test_flag_checks_keep_their_place_in_the_report():
+    """strong_rlf is checked before the ample class and the peds, note after them."""
+    with pytest.raises(StructuralError, match="strong_rlf"):
+        GeometricContext(PENCIL_ARGS[0], (3, 1), [(0, 1), 5], strong_rlf="false", note=5)
+    with pytest.raises(StructuralError, match=r"peds\[1\]"):
+        GeometricContext(PENCIL_ARGS[0], (3, 1), [(0, 1), 5], note=5)
+    with pytest.raises(DomainError, match=r"ped\[0\]-ample-pairing"):
+        GeometricContext(PENCIL_ARGS[0], (2, 1), [(0, 1)])
+    assert GeometricContext(*PENCIL_ARGS, note=None).note is None
+
+
+def test_contexts_and_lattices_are_immutable():
+    ctx = GeometricContext(*PENCIL_ARGS, strong_rlf=True)
+    for obj in (ctx, ctx.lat):
+        for field in type(obj).__slots__:
+            with pytest.raises(AttributeError, match=f"immutable {type(obj).__name__}"):
+                setattr(obj, field, getattr(obj, field))
+            with pytest.raises(AttributeError, match=f"immutable {type(obj).__name__}"):
+                delattr(obj, field)
+    # assignments the derived tables would not have followed
+    with pytest.raises(AttributeError):
+        ctx.lat = Lattice([[0, 1], [1, -4]])
+    with pytest.raises(AttributeError):
+        ctx.peds = ()
+    with pytest.raises(AttributeError):
+        Lattice([[2]]).gram = ((3,),)
+    assert classify(ctx, (3, 1)).m == 3
+
+
+def test_contexts_compare_by_value_and_copy_through_the_constructor():
+    text = json.dumps(GeometricContext(*PENCIL_ARGS, strong_rlf=True, note="pencil").to_json_dict())
+    ctx = GeometricContext.from_json_dict(json.loads(text))
+    assert ctx == GeometricContext.from_json_dict(json.loads(text)) == GeometricContext(*PENCIL_ARGS, strong_rlf=True, note="pencil")
+    assert hash(ctx) == hash(GeometricContext.from_json_dict(json.loads(text)))
+    assert ctx != GeometricContext(*PENCIL_ARGS, strong_rlf=True)
+    for copied in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
+        assert type(copied) is GeometricContext and copied == ctx
+        assert (copied.rows, copied.ped_table, copied.q_peds) == (ctx.rows, ctx.ped_table, ctx.q_peds)
+        assert classify(copied, (3, 1)) == classify(ctx, (3, 1))
+    lat = Lattice([[2, 1], [1, 2]], even=True)
+    assert pickle.loads(pickle.dumps(lat)) == lat == Lattice(((2, 1), (1, 2))) and copy.deepcopy(lat).rank == 2
+    assert lat != Lattice([[2, 1], [1, 2]], even=False) and hash(lat) == hash(Lattice([[2, 1], [1, 2]]))
+
+
+def test_derived_tables():
+    ctx = GeometricContext(U_MINUS4, (3, 1, -1), peds=[(0, 0, 1), (-1, 1, 0)], walls=[(1, 0, 1)])
+    # the Gram rows, then G*ample, G*D per ped and G*W per wall
+    assert ctx.rows == U_MINUS4.gram + ((1, 3, 4), (0, 0, -4), (1, -1, 0), (0, 1, -4))
+    # per ped D_i: (D_i, ample), (D_i, D_0), (D_i, D_1); q(D_i) on the diagonal
+    assert ctx.ped_table == ((4, -4, 0), (2, 0, -2))
+    assert ctx.q_peds == (-4, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +252,14 @@ def test_bk_closure_examples(u_walk_ctx):
     assert in_bk_closure(u_walk_ctx, (1, 1))
 
 
-def test_bk_closure_wall_strict_mode():
+def test_walls_cut_neither_the_closure_nor_the_walk():
+    """The walk and the closure test read the ped images of the context's rows,
+    not the wall images stacked after them."""
     ctx = GeometricContext(U, (1, 1), walls=[(1, -1)])
     assert in_bk_closure(ctx, (2, 1))
-    assert not in_bk_closure(ctx, (2, 1), include_walls=True)
-    assert in_bk_closure(ctx, (1, 1), include_walls=True)
+    ctx = GeometricContext(U, (2, 1), peds=[(-1, 1)], walls=[(1, -1)])
+    assert in_bk_closure(ctx, (1, 0)) and not in_bk_closure(ctx, (0, 1))
+    assert reflect_into_bk(ctx, (0, 1)) == ReflectionTrace((1, 0), (((-1, 1), 1),))
 
 
 def test_ped_inequality_examples():

@@ -19,6 +19,7 @@ from basediv import (
     GeometricContext,
     K3N,
     KUMN,
+    Lattice,
     StructuralError,
     classify,
     make_type,
@@ -239,6 +240,10 @@ def payloads(draw, huge=False):
 @given(payloads())
 @example(dict(PENCIL, deformation={"kind": "OG6", "n": 3}, peds=[[0, 1], 5]))  # domain, then structural
 @example(dict(PENCIL, ample=[1, 0], walls=[[1]]))
+@example(dict(PENCIL, strong_rlf="false"))
+@example(dict(PENCIL, strong_rlf=1, peds=[[0, 1], 5]))
+@example(dict(PENCIL, note=5, lattice={"gram": [[0, 1], [1, -2]], "even": "false"}))
+@example(dict(PENCIL, note=None))
 def test_agreement_with_the_checker(data):
     ctx, checks = validate_context_payload(data)
     failed = [c for c in checks if not c.passed]
@@ -248,8 +253,34 @@ def test_agreement_with_the_checker(data):
     except BasedivError as exc:
         assert ctx is None
         assert isinstance(exc, StructuralError) == any(c.structural for c in failed)
+        parsed = exc
     else:
-        assert ctx is not None and parsed.to_json_dict() == ctx.to_json_dict()
+        assert ctx is not None and parsed == ctx and parsed.to_json_dict() == ctx.to_json_dict()
+    built = library_build(data)
+    if built is not None:
+        # both paths build equal contexts, or both raise an error of the same class
+        assert type(built) is type(parsed), (built, parsed)
+        assert ctx is None or built == parsed
+
+
+def library_build(data):
+    """The context, or the error, of the library constructor on the fields of a
+    payload whose lattice and deformation type parse; None for any other
+    payload, and for a "note" holding null, which only the reader refuses."""
+    if not (isinstance(data, dict) and isinstance(data.get("lattice"), dict) and "gram" in data["lattice"] and "ample" in data):
+        return None
+    if "note" in data and data["note"] is None:
+        return None
+    try:
+        lat = Lattice(data["lattice"]["gram"], data["lattice"].get("even"))
+        dtype = deformation_from_json_dict(data["deformation"]) if "deformation" in data else None
+    except BasedivError:
+        return None
+    fields = (data["ample"], data.get("peds", ()), data.get("walls", ()), dtype, data.get("strong_rlf", False), data.get("note"))
+    try:
+        return GeometricContext(lat, *fields)
+    except BasedivError as exc:
+        return exc
 
 
 @pytest.fixture(scope="module")

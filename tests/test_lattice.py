@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -58,6 +59,30 @@ def test_even_flag():
     assert hyperbolic_plane().even
     assert not rank_one(3).even
     assert rank_one(-4).even
+    assert Lattice([[2]], even=False).even is False and Lattice([[2]]).even is True
+    with pytest.raises(StructuralError, match="odd entry"):
+        Lattice([[1]], even=True)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((5,), "^lattice.gram must be an array, got 5$"),
+        ((None,), "^lattice.gram must be an array, got None$"),
+        (([5],), r"^lattice.gram\[0\] must be an array, got 5$"),
+        (([[1.5], 5],), r"^lattice.gram\[1\] must be an array, got 5$"),  # rows before entries, as the reader checks them
+        (([[2]], "false"), "^lattice \"even\" must be a JSON boolean or null, got 'false'$"),
+        (([[1]], "x"), "^lattice \"even\" must be a JSON boolean or null, got 'x'$"),
+        ((5, 1), "^lattice \"even\" must be a JSON boolean or null, got 1$"),  # even before the Gram matrix
+    ],
+    ids=["gram-int", "gram-none", "row-int", "row-order", "even-string", "even-string-odd", "even-int"],
+)
+def test_constructor_checks_each_field_as_the_reader_does(args, message):
+    with pytest.raises(StructuralError, match=message):
+        Lattice(*args)
+    data = {"gram": args[0]} if len(args) == 1 else {"gram": args[0], "even": args[1]}
+    with pytest.raises(StructuralError, match=message):
+        Lattice.from_json_dict(data)
     with pytest.raises(StructuralError):
         Lattice([[1]], even=True)
     # an explicit False is kept even when the diagonal happens to be even
@@ -107,6 +132,15 @@ def test_enumerate_vectors_guards():
         enumerate_vectors(rank6, 0, 8)
     with pytest.raises(CapabilityError, match="prefixes"):
         enumerate_vectors(rank_one(0), 0, 10**9)
+
+
+@pytest.mark.parametrize("bound", [10**5000, 2**2**20], ids=["5001-digits", "2^2^20"])
+@pytest.mark.parametrize("lat", [rank_one(2), direct_sum(U, U, U)], ids=["rank-1", "rank-6"])
+def test_enumerate_vectors_refuses_a_huge_bound_quickly(lat, bound):
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError, match=r"^box enumeration at rank \d, bound <integer of \d+ digits> visits more than \d+ prefixes"):
+        enumerate_vectors(lat, 0, bound)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_enumerate_vectors_output_guard(monkeypatch):

@@ -17,12 +17,14 @@ from basediv import (
     GENERIC,
     K3N,
     KUMN,
+    NumericalNLType,
     RRPolynomial,
     StructuralError,
     check_strict_monotonic,
     deformation_from_json_dict,
     invert_binomial,
     make_type,
+    nl_numerical_types,
     rr_eval,
 )
 from basediv import riemann_roch
@@ -328,6 +330,45 @@ def test_invert_binomial():
     for n in range(1, 6):
         for m in range(1, 40):
             assert invert_binomial(math.comb(m + n, n), n) == m
+
+
+def doubling_search(value: int, n: int) -> int | None:
+    """The search invert_binomial made before it started from an integer root:
+    double an upper end, then bisect down to the least m with C(m+n, n) >= value."""
+    hi = 1
+    while math.comb(hi + n, n) < value:
+        hi *= 2
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if math.comb(mid + n, n) < value:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if math.comb(lo + n, n) == value else None
+
+
+def test_invert_binomial_matches_the_doubling_search():
+    for n in range(1, 13):
+        for m in [*range(0, 120), 10**6, 2**70 + 3, 10**40]:
+            c = math.comb(m + n, n)
+            for value in (c - 1, c, c + 1):
+                if value >= 1:
+                    assert invert_binomial(value, n) == doubling_search(value, n), (value, n)
+        for value in range(1, 400):
+            assert invert_binomial(value, n) == doubling_search(value, n), (value, n)
+
+
+def test_invert_binomial_guards_and_speed():
+    with pytest.raises(CapabilityError, match="half-dimension limit"):
+        invert_binomial(10, HALF_DIM_LIMIT + 1)
+    with pytest.raises(CapabilityError, match=f"passes the limit of {RR_EVAL_BITS_LIMIT} bits"):
+        invert_binomial(2**RR_EVAL_BITS_LIMIT, 2)
+    start = time.perf_counter()
+    for n in (2, 3):
+        # chi = C(q/2 + n + 1, n) = C(m + n, n) with m = q/2 + 1, of 5000 digits
+        assert nl_numerical_types(make_type(K3N, n), 10**5000) == [NumericalNLType(10**5000 // 2 + 1, 1, -2)]
+    assert time.perf_counter() - start < 2.0
 
 
 def test_k3n_closed_form_matches_product_oracle():

@@ -2,10 +2,12 @@
 and each call returns within a time budget, on huge, degenerate and wrongly
 typed inputs.
 
-The deformation types handed to rr_eval and check_strict_monotonic are built
-ones; every other argument is drawn.  A call that returns also has its result
-written back (repr and to_json_dict), since that is where long integers used
-to surface as Python's ValueError.
+The deformation types handed to rr_eval, check_strict_monotonic and
+nl_numerical_types are built ones, and so are the lattices and the context
+handed to the constructor, the walk, the classifier and the enumeration;
+every other argument is drawn.  A call that returns also has its result
+written back (repr, of lists of records too, and to_json_dict), since that
+is where long integers used to surface as Python's ValueError.
 """
 
 import copy
@@ -29,11 +31,18 @@ from basediv import (
     RRPolynomial,
     StructuralError,
     check_strict_monotonic,
+    classify,
     deformation_from_json_dict,
+    direct_sum,
     enumerate_vectors,
+    hyperbolic_plane,
     invert_binomial,
     make_type,
+    nl_numerical_types,
+    rank_one,
+    reflect_into_bk,
     rr_eval,
+    validate_context_payload,
 )
 
 from conftest import fixture_path
@@ -88,7 +97,8 @@ def deformation_calls(draw):
 
 @st.composite
 def context_calls(draw):
-    """The k3n2_rank3 fixture with some fields replaced by drawn values."""
+    """The k3n2_rank3 fixture with some fields replaced by drawn values, read
+    by from_json_dict or validate_context_payload."""
     data = copy.deepcopy(CONTEXT)
     if draw(st.booleans()):
         data["lattice"]["gram"][2][2] = draw(st.one_of(INTS, JSON))
@@ -96,7 +106,46 @@ def context_calls(draw):
         data["peds"][0] = draw(st.lists(st.one_of(INTS, JSON), min_size=3, max_size=3))
     for key in draw(st.lists(st.sampled_from(["lattice", "ample", "peds", "walls", "deformation", "strong_rlf", "note"]), max_size=3)):
         data[key] = draw(JSON)
-    return GeometricContext.from_json_dict, (draw(st.one_of(st.just(data), JSON)),), {}
+    reader = draw(st.sampled_from([GeometricContext.from_json_dict, validate_context_payload]))
+    return reader, (draw(st.one_of(st.just(data), JSON)),), {}
+
+
+FIXTURE = GeometricContext.from_json_dict(CONTEXT)
+# a class of the fixture's rank, or anything else
+VECTORS = st.one_of(st.tuples(INTS, INTS, INTS), st.lists(st.one_of(INTS, WRONG), max_size=4), WRONG, INTS)
+LATTICES = [rank_one(2), hyperbolic_plane(), FIXTURE.lat, direct_sum(hyperbolic_plane(), hyperbolic_plane(), hyperbolic_plane())]
+
+
+@st.composite
+def lattice_calls(draw):
+    gram = draw(st.one_of(st.lists(st.lists(st.one_of(INTS, WRONG), max_size=3), max_size=3), JSON, WRONG))
+    return Lattice, (gram,), {"even": draw(st.one_of(st.none(), st.booleans(), WRONG, JSON))}
+
+
+@st.composite
+def constructor_calls(draw):
+    """The constructor on the fixture's lattice and type with drawn ample class,
+    peds, strong_rlf and note."""
+    ample = draw(st.one_of(st.just(FIXTURE.ample), VECTORS))
+    peds = draw(st.one_of(st.just(FIXTURE.peds), st.lists(VECTORS, max_size=3), JSON))
+    flags = {"strong_rlf": draw(st.one_of(st.booleans(), WRONG, JSON)), "note": draw(st.one_of(st.none(), st.text(max_size=4), WRONG, INTS))}
+    return GeometricContext, (FIXTURE.lat, ample, peds), dict(flags, dtype=FIXTURE.dtype)
+
+
+@st.composite
+def library_calls(draw):
+    """The walk, the classifier, the numerical types, the enumeration, the
+    binomial inversion and the polynomial constructor."""
+    kind = draw(st.sampled_from(["class", "nl", "enumerate", "invert", "polynomial"]))
+    if kind == "class":
+        return draw(st.sampled_from([classify, reflect_into_bk])), (FIXTURE, draw(VECTORS)), {}
+    if kind == "nl":
+        return nl_numerical_types, (draw(st.sampled_from(built_types())), draw(st.one_of(INTS, WRONG))), {}
+    if kind == "enumerate":
+        return enumerate_vectors, (draw(st.sampled_from(LATTICES)), draw(st.one_of(INTS, WRONG)), draw(st.one_of(INTS, WRONG))), {}
+    if kind == "invert":
+        return invert_binomial, (draw(st.one_of(INTS, WRONG)), draw(st.one_of(INTS, WRONG))), {}
+    return RRPolynomial, (draw(st.one_of(coefficient_lists(), WRONG, INTS)),), {}
 
 
 def built_types():
@@ -122,7 +171,12 @@ def evaluation_calls(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(call=st.one_of(make_type_calls(), deformation_calls(), context_calls(), evaluation_calls()))
+@given(
+    call=st.one_of(
+        make_type_calls(), deformation_calls(), context_calls(), evaluation_calls(),
+        lattice_calls(), constructor_calls(), library_calls(),
+    )
+)
 @example(call=(make_type, (GENERIC, 1), {"coeffs": iter([1, 1])}))
 @example(call=(make_type, (GENERIC, 1), {"coeffs": 5}))
 @example(call=(make_type, (GENERIC, 1), {"coeffs": ["1e5000", 1]}))
@@ -131,13 +185,24 @@ def evaluation_calls(draw):
 @example(call=(deformation_from_json_dict, ({"kind": GENERIC, "n": 1, "coeffs": ["1e5000", 1]},), {}))
 @example(call=(GeometricContext.from_json_dict, (dict(CONTEXT, note=HUGE, strong_rlf=HUGE),), {}))
 @example(call=(GeometricContext.from_json_dict, (dict(CONTEXT, lattice={"gram": [[0]], "even": HUGE}),), {}))
+@example(call=(GeometricContext, (FIXTURE.lat, FIXTURE.ample, FIXTURE.peds), {"strong_rlf": "false", "note": HUGE}))
+@example(call=(Lattice, ([[2]],), {"even": "false"}))
+@example(call=(Lattice, (HUGE,), {}))
+@example(call=(enumerate_vectors, (rank_one(2), 0, HUGE), {}))
+@example(call=(enumerate_vectors, (LATTICES[-1], 0, 2**2**20), {}))
+@example(call=(invert_binomial, (HUGE, 3), {}))
+@example(call=(nl_numerical_types, (make_type(K3N, 3), HUGE), {}))
+@example(call=(reflect_into_bk, (FIXTURE, (HUGE, HUGE, 1)), {}))
+@example(call=(rr_eval, (make_type(K3N, 1), [HUGE]), {}))
 def test_only_typed_errors_escape_within_the_budget(call):
     fn, args, kwargs = call
     start = time.perf_counter()
     try:
         result = fn(*args, **kwargs)
-        if hasattr(result, "to_json_dict"):  # a type or a context: write it back
-            repr(result), repr(getattr(result, "rr", None)), result.to_json_dict()
+        if not isinstance(result, int):  # a record, or a list or tuple of them: write it back
+            repr(result)
+        if hasattr(result, "to_json_dict"):
+            repr(getattr(result, "rr", None)), result.to_json_dict()
     except BasedivError:
         pass
     assert time.perf_counter() - start < BUDGET_S
