@@ -24,10 +24,12 @@ rr-eval and nl-types also accept a bare deformation object
 Exit codes: 0 success, 1 domain/hypothesis/consistency/capability violations
 (with a diagnostic naming the violated condition, e.g. kind "OG6"), 2 malformed
 input, e.g. a string where an array belongs (the message names its path, such
-as peds[1]).  Every command, validate-context included, reads a context through
-cones.validate_context_payload and exits by the class of the library's error,
+as peds[1]).  classify, reflect-bk and validate-context read a context through
+cones.validate_context_payload; rr-eval and nl-types read only its deformation
+object, so a fault elsewhere in the file, such as an asymmetric Gram matrix,
+does not stop them.  Every command exits by the class of the library's error,
 a structural one first.  A result or diagnostic holding an integer longer than
-Python prints (4300 digits by default) exits 1.
+Python prints (4300 digits by default) exits 1, after the text lines before it.
 JSON output is deterministic: identical inputs produce byte-identical reports.
 """
 
@@ -74,123 +76,89 @@ def _load_deformation(path: str):
     return deformation_from_json_dict(data)
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False))
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, JSON report, text lines).  Text
+# that costs work or can fail to print is a generator, so JSON mode never runs
+# it and text mode prints each line before it builds the next
 
-def _cmd_classify(args) -> int:
-    ctx = GeometricContext.from_json_dict(_load_json(args.input))
-    report = classification_report(ctx, _parse_class(args.class_vec))
-    if args.format == "json":
-        _print_json(report)
-        return 0
-    print(f"q(H) = {report['q_H']}")
-    print(f"chi = RR(q(H)) = {report['rr_value']}")
+def _classify_lines(report):
+    yield f"q(H) = {report['q_H']}"
+    yield f"chi = RR(q(H)) = {report['rr_value']}"
     dec = report["decomposition"]
     if dec is None:
-        print("base divisor: none")
+        yield "base divisor: none"
     else:
-        print("base divisor: yes")
-        print(f"H = {dec['m']}*L + F")
-        print(f"L = {dec['L']}")
-        print(f"F = {dec['F']}")
-        print(f"d = (L, F) = {dec['d']}")
-    return 0
+        yield "base divisor: yes"
+        yield f"H = {dec['m']}*L + F"
+        yield f"L = {dec['L']}"
+        yield f"F = {dec['F']}"
+        yield f"d = (L, F) = {dec['d']}"
 
 
-def _cmd_reflect_bk(args) -> int:
+def _cmd_classify(args):
+    ctx = GeometricContext.from_json_dict(_load_json(args.input))
+    report = classification_report(ctx, _parse_class(args.class_vec))
+    return 0, report, _classify_lines(report)
+
+
+def _walk_table(ctx, alpha, trace):
+    """The walk replayed, so the descending (alpha_i, ample) column is auditable."""
+    yield f"{'step':>4}  {'ped':<16} {'a':>3}  {'alpha':<20} (alpha, ample)"
+    current = alpha
+    yield f"{'-':>4}  {'-':<16} {'-':>3}  {list(current)!s:<20} {pairing(ctx.lat, current, ctx.ample)}"
+    for i, (ped, a) in enumerate(trace.steps):
+        current = tuple(c - a * p for c, p in zip(current, ped))
+        yield f"{i:>4}  {list(ped)!s:<16} {a:>3}  {list(current)!s:<20} {pairing(ctx.lat, current, ctx.ample)}"
+    yield f"result: {list(trace.result)}"
+
+
+def _cmd_reflect_bk(args):
     ctx = GeometricContext.from_json_dict(_load_json(args.input))
     alpha = ctx.lat.vector(_parse_class(args.class_vec))
     trace = reflect_into_bk(ctx, alpha)
-    if args.format == "json":
-        _print_json(trace.to_json_dict())
-        return 0
-    # replay the walk so the descending (alpha_i, ample) column is auditable
-    print(f"{'step':>4}  {'ped':<16} {'a':>3}  {'alpha':<20} (alpha, ample)")
-    current = alpha
-    print(f"{'-':>4}  {'-':<16} {'-':>3}  {str(list(current)):<20} {pairing(ctx.lat, current, ctx.ample)}")
-    for i, (ped, a) in enumerate(trace.steps):
-        current = tuple(c - a * p for c, p in zip(current, ped))
-        print(
-            f"{i:>4}  {str(list(ped)):<16} {a:>3}  {str(list(current)):<20}"
-            f" {pairing(ctx.lat, current, ctx.ample)}"
-        )
-    print(f"result: {list(trace.result)}")
-    return 0
+    return 0, trace.to_json_dict(), _walk_table(ctx, alpha, trace)
 
 
-def _cmd_rr_eval(args) -> int:
+def _cmd_rr_eval(args):
     dtype = _load_deformation(args.input)
     chi = rr_eval(dtype, args.q, allow_odd=args.allow_odd)
-    if args.format == "json":
-        _print_json({"kind": dtype.kind, "n": dtype.n, "q": args.q, "chi": chi})
-        return 0
-    print(f"chi(q={args.q}) = {chi}   [{dtype.kind}, n={dtype.n}]")
-    return 0
+    report = {"kind": dtype.kind, "n": dtype.n, "q": args.q, "chi": chi}
+    return 0, report, [f"chi(q={args.q}) = {chi}   [{dtype.kind}, n={dtype.n}]"]
 
 
-def _cmd_nl_types(args) -> int:
+def _cmd_nl_types(args):
     dtype = _load_deformation(args.input)
     types = nl_numerical_types(dtype, args.qh)
-    if args.format == "json":
-        _print_json({"q_H": args.qh, "types": [t.to_json_dict() for t in types]})
-        return 0
-    if not types:
-        print("no numerical types")
-    for t in types:
-        print(f"m={t.m} d={t.d} q_F={t.qF}")
-    return 0
+    lines = (f"m={t.m} d={t.d} q_F={t.qF}" for t in types) if types else ["no numerical types"]
+    return 0, {"q_H": args.qh, "types": [t.to_json_dict() for t in types]}, lines
 
 
-def _cmd_scan_kumn(args) -> int:
+def _cmd_scan_kumn(args):
     sols = kumn_nonexistence_search(args.n_max, args.m_max, args.d_max)
-    if args.format == "json":
-        _print_json(
-            {
-                "ranges": {"n": [2, args.n_max], "m": [2, args.m_max], "d": [1, args.d_max]},
-                "count": len(sols),
-                "solutions": [{"n": n, "m": m, "d": d, "q_F": qf} for n, m, d, qf in sols],
-            }
-        )
-        return 0
-    print(f"{len(sols)} solutions found")
-    for n, m, d, qf in sols:
-        print(f"n={n} m={m} d={d} q_F={qf}")
-    return 0
+    report = {
+        "ranges": {"n": [2, args.n_max], "m": [2, args.m_max], "d": [1, args.d_max]},
+        "count": len(sols),
+        "solutions": [{"n": n, "m": m, "d": d, "q_F": qf} for n, m, d, qf in sols],
+    }
+    return 0, report, [f"{len(sols)} solutions found", *(f"n={n} m={m} d={d} q_F={qf}" for n, m, d, qf in sols)]
 
 
-def _cmd_rank2_scan(args) -> int:
+def _cmd_rank2_scan(args):
     classes = rank2_exceptional_scan(args.bound)
-    if args.format == "json":
-        _print_json({"bound": args.bound, "classes": [list(v) for v in classes]})
-        return 0
-    print(f"{len(classes)} classes found")
-    for v in classes:
-        print(str(list(v)))
-    return 0
+    report = {"bound": args.bound, "classes": [list(v) for v in classes]}
+    return 0, report, [f"{len(classes)} classes found", *(str(list(v)) for v in classes)]
 
 
-def _cmd_validate_context(args) -> int:
+def _cmd_validate_context(args):
     ctx, checks = validate_context_payload(_load_json(args.input))
-    if args.format == "json":
-        _print_json(
-            {
-                "valid": ctx is not None,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-                ],
-            }
-        )
-    else:
-        for c in checks:
-            print(f"{'ok  ' if c.passed else 'FAIL'}  {c.name}: {c.detail}")
-        print("context valid" if ctx is not None else "context invalid")
-    if ctx is not None:
-        return 0
-    return 2 if any(c.structural and not c.passed for c in checks) else 1
+    report = {
+        "valid": ctx is not None,
+        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+    }
+    lines = [f"{'ok  ' if c.passed else 'FAIL'}  {c.name}: {c.detail}" for c in checks]
+    lines.append("context valid" if ctx is not None else "context invalid")
+    code = 0 if ctx is not None else 2 if any(c.structural and not c.passed for c in checks) else 1
+    return code, report, lines
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +208,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return args.handler(args)
+        code, report, lines = args.handler(args)
+        if args.format == "json":
+            print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -349,7 +349,8 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     from the context's ped table.
 
     The result is in the declared BK closure with no check on exit: each step
-    subtracts a*D with a = 2(alpha_i, D)/q(D) an integer, an isometry, so
+    subtracts a*D with a = 2(alpha_i, D)/q(D) an integer, since the context
+    checked q(D) | 2*div(D) and div(D) | (alpha_i, D), an isometry, so
     q(result) = q(alpha) >= 0; (result, ample) > 0 was checked on entry or by
     the last step, and the loop ends only when (result, D) >= 0 for every ped.
     """
@@ -372,13 +373,8 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
                 break
         else:
             break
-        violated, qd, d_row = ctx.peds[i], ctx.q_peds[i], ctx.ped_table[i]
-        num = 2 * p
-        if num % qd != 0:
-            raise ConsistencyError(
-                f"declared ped {show_vec(violated)} produced a non-integral reflection scalar"
-            )
-        a = num // qd
+        violated, d_row = ctx.peds[i], ctx.ped_table[i]
+        a = 2 * p // ctx.q_peds[i]
         nxt = tuple([c - a * x for c, x in zip(current, violated)])
         new_height = height - a * d_row[0]  # (alpha - a*D, ample)
         if not (0 < new_height < height):

@@ -30,6 +30,7 @@ CONES = "src/basediv/cones.py"
 RIEMANN_ROCH = "src/basediv/riemann_roch.py"
 LATTICE = "src/basediv/lattice.py"
 ERRORS = "src/basediv/errors.py"
+CLI = "src/basediv/cli.py"
 
 CLASSIFY_TESTS = ("tests/test_classifier.py", "tests/test_acceptance.py")
 WALK_TESTS = ("tests/test_cones.py",)
@@ -53,7 +54,7 @@ MUTANTS = (
     ("nl-chi-floor", CLASSIFIER, "if chi < 1:", "if chi < 0:", CLASSIFY_TESTS),
     ("nl-limit", CLASSIFIER, "if hi - lo + 1 > NL_TYPES_LIMIT:", "if hi - lo + 1 >= NL_TYPES_LIMIT:", CLASSIFY_TESTS),
     # the reflection walk
-    ("walk-scalar", CONES, "num = 2 * p\n", "num = 4 * p\n", WALK_TESTS),
+    ("walk-scalar", CONES, "a = 2 * p // ctx.q_peds[i]", "a = 4 * p // ctx.q_peds[i]", WALK_TESTS),
     ("walk-height-column", CONES, "height - a * d_row[0]", "height - a * d_row[1]", WALK_TESTS),
     ("walk-descent", CONES, "if not (0 < new_height < height):", "if not (new_height < height):", WALK_TESTS),
     # the ped images the walk and the closure test slice from the context's rows,
@@ -97,6 +98,9 @@ MUTANTS = (
     ("coefficient-negative-exponent", RIEMANN_ROCH, "den *= 10**-k", "num *= 10**-k", ("tests/test_riemann_roch.py",)),
     ("exponent-guard-underscores", RIEMANN_ROCH, '.replace("_", "").lstrip("+-0")', '.lstrip("+-0")', ("tests/test_riemann_roch.py",)),
     ("show-int-limit", ERRORS, "n.bit_length() <= 3 * limit", "n.bit_length() <= 4 * limit", ("tests/test_context_parse.py",)),
+    # the CLI's one choice of output format, and validate-context's exit code
+    ("format-branch", CLI, 'if args.format == "json":', 'if args.format != "json":', ("tests/test_cli.py",)),
+    ("validate-structural-code", CLI, "else 2 if any(", "else 1 if any(", ("tests/test_cli.py",)),
 )
 
 

@@ -356,6 +356,32 @@ def test_verify_decomposition_returns_false_only_on_library_errors(k3_pencil, mo
         verify_decomposition(k3_pencil, (3, 1), dec)
 
 
+# (id, deformation type, H, decomposition) on the pencil lattice with its ped
+# (0, 1).  H = 3*(1, 0) + (0, 1) with d = 1 on K3^[1] is valid; each row breaks
+# it so that verify_decomposition returns False at a different check
+K3_1 = make_type(K3N, 1)
+BROKEN_DECOMPOSITIONS = [
+    ("no-deformation-type", None, (3, 1), Decomposition(3, (1, 0), (0, 1), 1)),
+    ("H-of-rank-three", K3_1, (3, 1, 0), Decomposition(3, (1, 0), (0, 1), 1)),
+    ("L-of-rank-three", K3_1, (3, 1), Decomposition(3, (1, 0, 0), (0, 1), 1)),
+    ("m-below-two", K3_1, (1, 1), Decomposition(1, (1, 0), (0, 1), 1)),
+    ("H-not-mL-plus-F", K3_1, (3, 2), Decomposition(3, (1, 0), (0, 1), 1)),  # q(H) = 4 as for (3, 1)
+    ("L-zero", K3_1, (0, 1), Decomposition(3, (0, 0), (0, 1), 1)),
+    ("L-not-isotropic", K3_1, (6, 4), Decomposition(3, (2, 1), (0, 1), 1)),
+    ("L-not-primitive", K3_1, (6, 1), Decomposition(3, (2, 0), (0, 1), 2)),
+    ("F-not-declared", K3_1, (4, -1), Decomposition(3, (1, 0), (1, -1), 1)),
+    ("chi-not-binomial", make_type(KUMN, 2), (3, 1), Decomposition(3, (1, 0), (0, 1), 1)),  # chi = 18, C(5, 2) = 10
+]
+
+
+@pytest.mark.parametrize(
+    "dtype, h, dec", [c[1:] for c in BROKEN_DECOMPOSITIONS], ids=[c[0] for c in BROKEN_DECOMPOSITIONS]
+)
+def test_verify_decomposition_refuses_each_broken_condition(dtype, h, dec):
+    ctx = GeometricContext(Lattice([[0, 1], [1, -2]]), (3, 1), peds=[(0, 1)], dtype=dtype, strong_rlf=True)
+    assert verify_decomposition(ctx, h, dec) is False
+
+
 @pytest.mark.parametrize(
     "record, same, other, text",
     [

@@ -155,6 +155,27 @@ def test_rr_eval_past_the_bit_limit_is_refused(capsys, tmp_path):
     assert err.startswith("error: RR value at a q of 1050 bits for n = 500") and "limit" in err
 
 
+def test_rr_eval_and_nl_types_read_only_the_deformation(capsys, tmp_path):
+    # an asymmetric Gram matrix stops the commands that read the whole context
+    path = _with(tmp_path, lambda d: d["lattice"].update(gram=[[0, 1], [2, -2]]))
+    assert run(capsys, "rr-eval", "--input", path, "--q", "4") == (0, "chi(q=4) = 4   [K3n, n=1]\n", "")
+    assert run(capsys, "nl-types", "--input", path, "--qh", "4") == (0, "m=3 d=1 q_F=-2\n", "")
+    for command in (["classify", "--class", "3,1"], ["reflect-bk", "--class", "3,1"]):
+        code, out, err = run(capsys, command[0], "--input", path, *command[1:])
+        assert (code, out) == (2, "") and "symmetric" in err
+    code, out, _ = run(capsys, "validate-context", "--input", path)
+    assert code == 2 and "context invalid" in out
+
+
+def test_text_lines_before_an_unprintable_integer_are_printed(capsys, tmp_path):
+    # q(H) has 1,501 digits; chi = RR(q(H)) on K3^[3], about 4,500, is past the limit
+    path = _with(tmp_path, lambda d: d.update(deformation={"kind": "K3n", "n": 3}))
+    h = f"{10**1500},1"
+    error = f"error: cannot print an integer of more than {sys.get_int_max_str_digits()} digits\n"
+    assert run(capsys, "classify", "--input", path, "--class", h) == (1, f"q(H) = {2 * 10**1500 - 2}\n", error)
+    assert run(capsys, "classify", "--input", path, "--class", h, "--format", "json") == (1, "", error)
+
+
 def test_rr_eval_odd_q_is_domain_error(capsys):
     code, _, err = run(capsys, "rr-eval", "--input", PENCIL, "--q", "3")
     assert code == 1

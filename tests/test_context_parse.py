@@ -69,6 +69,9 @@ CASES = [
     ("coeffs-int", generic(7), 2, "deformation.coeffs must be an array", True),
     ("coeffs-word", generic(["x", "1"]), 2, "deformation.coeffs[0] must be a rational number", True),
     ("coeffs-zero-denominator", generic(["1/0", "1"]), 2, "deformation.coeffs[0] must be a rational number", True),
+    ("coeffs-missing", deformation("Generic", 1), 2, 'Generic deformation JSON needs a "coeffs" array', True),
+    # more digits than int() converts (4300 by default), refused as unreadable
+    ("coeffs-5000-digit-string", generic(["1", "7" * 5000]), 2, "deformation.coeffs[1] must be a rational number", True),
     ("coeffs-5001-digits", generic(["1", "-1e5000"]), 1, "leading coefficient must be positive, got -<integer of 5001 digits>", True),
     ("coeffs-exponent-8-digits", generic(["1", "1e99999999"]), 1, "deformation.coeffs[1] has a decimal exponent", True),
     ("ample-square-4401-digits", edited(lambda d: d.update(ample=HUGE_AMPLE)), 1, "(ample, [0, 1]) = 0 but effective classes", False),

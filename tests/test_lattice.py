@@ -248,6 +248,11 @@ def test_direct_sum_block_structure():
     assert lat.rank == 3
 
 
+def test_direct_sum_needs_a_summand():
+    with pytest.raises(DomainError, match="at least one summand"):
+        direct_sum()
+
+
 def test_json_round_trip():
     data = U_MINUS4.to_json_dict()
     assert data == {"gram": [[0, 1, 0], [1, 0, 0], [0, 0, -4]], "even": True}
