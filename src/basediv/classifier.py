@@ -86,10 +86,12 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
     """Decide whether the big-and-nef class H carries a base divisor.
 
     Returns the unique Decomposition, or None when H is base-divisor free
-    relative to the declared context data.
+    relative to the declared context data.  H is checked before the
+    hypotheses, as in classification_report.
     """
+    h_vec = ctx.lat.vector(H)
     _require_hypotheses(ctx)
-    return _classify(ctx, ctx.lat.vector(H))[2]
+    return _classify(ctx, h_vec)[2]
 
 
 def _require_hypotheses(ctx: GeometricContext) -> None:

@@ -64,10 +64,13 @@ def show_vec(v) -> str:
 
 
 def show_value(x) -> str:
-    """repr(x) for a diagnostic: show_int for an int, and the type's name when
-    repr refuses a long integer inside x."""
+    """repr(x) for a diagnostic: show_int for an int, the first 20 characters
+    and the length of a string of more than 80, and the type's name when repr
+    refuses a long integer inside x."""
     if type(x) is int:
         return show_int(x)
+    if type(x) is str and len(x) > 80:
+        return f"{x[:20]!r}... ({len(x)} characters)"
     try:
         return repr(x)
     except ValueError:

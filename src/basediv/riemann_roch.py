@@ -13,10 +13,11 @@ that pair is the whole state: the registered families are built from it
 directly, evaluation is Horner's rule in integers followed by one exact
 division, and monotonicity certification and binomial inversion stay in
 exact arithmetic.  Generic coefficients are read straight to integer pairs:
-an int as itself, a string by ``_read_pair`` in the grammar of
-``Fraction(str)``.  Fractions are made on demand only by ``coeffs``
-and for a library coefficient of another type (a Fraction, float or
-Decimal), so parsing a context, Generic or not, never imports ``fractions``,
+an int as itself, and a string of decimal digits a or a/b, signed and padded
+or not, by ``_read_pair``.  Fractions are made on demand only by ``coeffs``,
+for any other string (read by ``Fraction(str)``) and for a library
+coefficient of another type (a Fraction, float or Decimal), so parsing a
+context with such coefficients, Generic or not, never imports ``fractions``,
 ``decimal`` and ``numbers`` (about 3 ms of start-up on a 2-vCPU Xeon host).
 """
 
@@ -201,10 +202,10 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None) -> DeformationT
     the closed form at n=1 disagrees with the K3 surface polynomial, so a
     2-dimensional "Kum" type would silently produce wrong chi values.
     Generic takes explicit coefficients b_0..b_n with b_n > 0, in a list or
-    tuple: ints, strings that Fraction(str) reads, or values that Fraction(c)
-    reads; any other coefficient raises DomainError.  K3n and Kumn give the
-    registered instance, and take coefficients only when they equal its
-    closed form.  Degrees above HALF_DIM_LIMIT, and a string or Decimal with
+    tuple: ints, strings that Fraction(str) reads (digits a or a/b are read
+    without it), or values that Fraction(c) reads; any other coefficient
+    raises DomainError.  K3n and Kumn give the registered instance, and take
+    coefficients only when they equal its closed form.  Degrees above HALF_DIM_LIMIT, and a string or Decimal with
     a decimal exponent of more than four digits, raise CapabilityError
     before anything is expanded.
     """
@@ -470,57 +471,31 @@ def _coefficient(c, path: str) -> tuple[int, int]:
 
 
 def _read_pair(text: str, path: str) -> tuple[int, int] | None:
-    """text as Fraction(text) reads it on Python 3.11, as (num, den) in lowest
-    terms with den > 0, or None where Fraction refuses it.
+    """text as Fraction(text) reads it, as (num, den) in lowest terms with
+    den > 0, or None where Fraction refuses it.
 
-    The grammar: surrounding whitespace, an optional sign, then either a/b or
-    [a][.b][e[+-]c] with a digit before the point or right after it, where
-    a, b and c are Unicode decimal digits with single underscores between
-    digit groups.  A decimal exponent of more than four digits raises
-    CapabilityError first.
+    A decimal exponent of more than four digits raises CapabilityError first.
+    Decimal digits a or a/b, with surrounding whitespace and an optional sign,
+    are read here, so the usual coefficients never import fractions; every
+    other string goes to Fraction(text).
     """
     # Fraction expands the exponent: 10**(10**6) takes 0.24 s, 10**(10**7) 12 s on a 2-vCPU Xeon
     exponent = text.lower().partition("e")[2].replace("_", "").lstrip("+-0")
     if exponent.isdecimal() and len(exponent) > 4:
-        raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {text!r}")
+        raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {show_value(text)}")
     s = text.strip()
-    sign = s[:1]
-    if sign in ("+", "-"):
-        s = s[1:]
-    whole, slash, den_text = s.partition("/")
+    whole, slash, den_text = (s[1:] if s[:1] in ("+", "-") else s).partition("/")
     try:
-        if slash:
-            if not (_digits(whole) and _digits(den_text)):
-                return None
-            num, den = int(whole), int(den_text)
-            if den == 0:
-                return None
-        else:
-            mantissa, e, exp = s.replace("E", "e").partition("e")
-            whole, _, frac = mantissa.partition(".")
-            if not (whole or frac) or (whole and not _digits(whole)) or (frac and not _digits(frac)):
-                return None
-            if e and not _digits(exp[1:] if exp[:1] in ("+", "-") else exp):
-                return None
-            num, den = int(whole or "0"), 1
-            if frac:
-                frac = frac.replace("_", "")
-                den = 10 ** len(frac)
-                num = num * den + int(frac)
-            if e:
-                k = int(exp)
-                if k >= 0:
-                    num *= 10**k
-                else:
-                    den *= 10**-k
-    except ValueError:  # a group of more than sys.get_int_max_str_digits() digits
+        if not (whole.isdecimal() and (den_text.isdecimal() or not slash)):
+            from fractions import Fraction
+            f = Fraction(text)
+            return f.numerator, f.denominator
+        num, den = int(whole), int(den_text) if slash else 1
+    except (ValueError, ZeroDivisionError):  # unreadable, more than sys.get_int_max_str_digits() digits, or a/0
         return None
-    if sign == "-":
+    if den == 0:
+        return None
+    if s[:1] == "-":
         num = -num
     g = math.gcd(num, den)
     return num // g, den // g
-
-
-def _digits(group: str) -> bool:
-    """Decimal digits with single underscores between digit groups."""
-    return all(map(str.isdecimal, group.split("_")))

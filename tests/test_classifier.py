@@ -76,6 +76,15 @@ def test_hypotheses_are_enforced():
         classify(wobbly, (1, 1))
 
 
+@pytest.mark.parametrize("entry", [classify, classification_report])
+def test_h_is_checked_before_the_hypotheses(entry):
+    """classify and classification_report, and so the CLI, raise the same
+    class for an H of the wrong length on a context without strong_rlf."""
+    no_flag = GeometricContext(Lattice([[0, 1], [1, -2]]), (3, 1), peds=[(0, 1)], dtype=make_type(K3N, 1))
+    with pytest.raises(StructuralError):
+        entry(no_flag, (3, 1, 0))
+
+
 def test_classify_rejects_non_nef_h(k3_pencil):
     # (3, 2) is big (q = 4) but pairs to -1 with the declared ped
     with pytest.raises(DomainError, match="nef"):

@@ -269,7 +269,7 @@ def test_validate_context_structural_failure_is_exit_two(capsys, tmp_path):
 
 
 # Run with -S so that the host's site module cannot load typing first.  The
-# second argument is a Generic context that the library also parses and
+# further arguments are Generic contexts that the library also parses and
 # classifies, as a caller that never starts the CLI would.
 COLD_START = """
 import io, json, sys
@@ -283,34 +283,42 @@ for argv in json.loads(sys.argv[1]):
         codes.append(basediv.cli.main(argv))
     finally:
         sys.stdout = sys.__stdout__
-with open(sys.argv[2]) as fh:
-    ctx = basediv.GeometricContext.from_json_dict(json.loads(fh.read()))
-basediv.classify(ctx, (2, 3, 0))
+for path in sys.argv[2:]:
+    with open(path) as fh:
+        ctx = basediv.GeometricContext.from_json_dict(json.loads(fh.read()))
+    basediv.classify(ctx, (2, 3, 0))
 print(json.dumps([at_import, [m for m in ("fractions", "decimal", "numbers") if m in sys.modules], codes]))
 """
 
 
 def test_cold_start_imports_no_dataclasses_typing_or_fractions(tmp_path):
     k3n2 = str(fixture_path("k3n2_rank3.json"))
-    generic = tmp_path / "generic.json"
     data = json.loads(Path(k3n2).read_text())
-    data["deformation"] = {"kind": "Generic", "n": 2, "coeffs": ["3", "5/4", "1/8"]}
-    generic.write_text(json.dumps(data))
+    # digits a and a/b, signed and padded, are read without importing fractions
+    generics = []
+    for i, coeffs in enumerate((["3", "5/4", "1/8"], ["+3", " 5/4 ", "1/8"])):
+        generic = tmp_path / f"generic{i}.json"
+        data["deformation"] = {"kind": "Generic", "n": 2, "coeffs": coeffs}
+        generic.write_text(json.dumps(data))
+        generics.append(str(generic))
     commands = []
     for fmt in ("text", "json"):
         commands += [
             ["classify", "--input", PENCIL, "--class", "3,1", "--format", fmt],
             ["classify", "--input", k3n2, "--class", "2,3,0", "--format", fmt],
-            ["classify", "--input", str(generic), "--class", "2,3,0", "--format", fmt],
             ["reflect-bk", "--input", k3n2, "--class", "1,0,0", "--format", fmt],
             ["validate-context", "--input", k3n2, "--format", fmt],
-            ["validate-context", "--input", str(generic), "--format", fmt],
             ["rr-eval", "--input", k3n2, "--q", "4", "--format", fmt],
             ["nl-types", "--input", PENCIL, "--qh", "4", "--format", fmt],
         ]
+        for generic in generics:
+            commands += [
+                ["classify", "--input", generic, "--class", "2,3,0", "--format", fmt],
+                ["validate-context", "--input", generic, "--format", fmt],
+            ]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", COLD_START, json.dumps(commands), str(generic)],
+        [sys.executable, "-S", "-c", COLD_START, json.dumps(commands), *generics],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
