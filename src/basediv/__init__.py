@@ -11,7 +11,6 @@ floating point anywhere.
 from .classifier import (
     Decomposition,
     NumericalNLType,
-    check_2H,
     classification_report,
     classify,
     kumn_nonexistence_search,

@@ -86,15 +86,22 @@ def classify(ctx: GeometricContext, H: Iterable[int]) -> Decomposition | None:
     """Decide whether the big-and-nef class H carries a base divisor.
 
     Returns the unique Decomposition, or None when H is base-divisor free
-    relative to the declared context data.  H is checked before the
-    hypotheses, as in classification_report.
+    relative to the declared context data.
+    """
+    return _classify(ctx, H)[2]
+
+
+def _classify(ctx: GeometricContext, H: Iterable[int]) -> tuple[int, int, Decomposition | None]:
+    """q(H), chi = RR(q(H)) and the decomposition (or None) of H; the one
+    classify run behind classify and classification_report.
+
+    H is read against the lattice first, then the context's hypotheses are
+    required: a deformation type and strong_rlf.  H must be big and nef
+    against the declared data: q(H) > 0, (H, ample) > 0 and (H, D) >= 0 for
+    every declared ped and wall, the first negative pairing reported in
+    ped-then-wall order.
     """
     h_vec = ctx.lat.vector(H)
-    _require_hypotheses(ctx)
-    return _classify(ctx, h_vec)[2]
-
-
-def _require_hypotheses(ctx: GeometricContext) -> None:
     if ctx.dtype is None:
         raise HypothesisError("context declares no deformation type; RR data is required")
     if not ctx.strong_rlf:
@@ -102,17 +109,6 @@ def _require_hypotheses(ctx: GeometricContext) -> None:
             "context does not certify the Lagrangian-fibration hypothesis (strong_rlf);"
             " refusing to classify rather than guess"
         )
-
-
-def _classify(ctx: GeometricContext, h_vec: Vec) -> tuple[int, int, Decomposition | None]:
-    """q(H), chi = RR(q(H)) and the decomposition (or None) of a checked class
-    h_vec, on a context that meets the hypotheses; the one classify run
-    behind classify and classification_report.
-
-    H must be big and nef against the declared data: q(H) > 0, (H, ample) > 0
-    and (H, D) >= 0 for every declared ped and wall, the first negative
-    pairing reported in ped-then-wall order.
-    """
     r = ctx.lat.rank
     # G*H, then (H, ample), the (H, D_i) and the (H, W_j): see GeometricContext.rows
     pairs = [sum(map(mul, h_vec, g)) for g in ctx.rows]
@@ -202,18 +198,6 @@ def verify_decomposition(ctx: GeometricContext, H: Iterable[int], dec: Decomposi
     return in_bk_closure(ctx, l_vec)
 
 
-def check_2H(ctx: GeometricContext, H: Iterable[int]) -> bool:
-    """For a classified H, confirm that 2H carries no base divisor.
-
-    Always true for consistent data; a False return certifies that the
-    declared context contradicts the doubling property.
-    """
-    h_vec = ctx.lat.vector(H)
-    if classify(ctx, h_vec) is None:
-        raise DomainError("check_2H applies to classes that do carry a base divisor")
-    return classify(ctx, tuple(2 * x for x in h_vec)) is None
-
-
 # ---------------------------------------------------------------------------
 # Kum^n non-existence
 
@@ -279,9 +263,7 @@ def nl_numerical_types(dtype: DeformationType, q_h: int) -> list[NumericalNLType
 
 def classification_report(ctx: GeometricContext, H: Iterable[int]) -> dict:
     """JSON-ready report of one classify run with its certificates."""
-    h_vec = ctx.lat.vector(H)
-    _require_hypotheses(ctx)
-    q_h, chi, dec = _classify(ctx, h_vec)
+    q_h, chi, dec = _classify(ctx, H)
     return {
         "q_H": q_h,
         "rr_value": chi,

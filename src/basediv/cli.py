@@ -232,7 +232,3 @@ def main(argv=None) -> int:
             raise
         print(f"error: cannot print an integer of more than {sys.get_int_max_str_digits()} digits", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

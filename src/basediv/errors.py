@@ -64,17 +64,24 @@ def show_vec(v) -> str:
 
 
 def show_value(x) -> str:
-    """repr(x) for a diagnostic: show_int for an int, the first 20 characters
-    and the length of a string of more than 80, and the type's name when repr
-    refuses a long integer inside x."""
+    """repr(x) for a diagnostic, bounded: show_int for an int, the first 20
+    characters and the length of a string, or of any other repr, of more than
+    80, the type and length of a list, tuple or dict of more than 16 items,
+    and the type's name when repr refuses a long integer inside x or a
+    nesting too deep to recurse through."""
     if type(x) is int:
         return show_int(x)
     if type(x) is str and len(x) > 80:
         return f"{x[:20]!r}... ({len(x)} characters)"
+    if isinstance(x, (list, tuple, dict)) and len(x) > 16:
+        return f"<{type(x).__name__} of {len(x)} items>"
     try:
-        return repr(x)
+        text = repr(x)
     except ValueError:
         return f"<{type(x).__name__} holding an integer too long to print>"
+    except RecursionError:
+        return f"<{type(x).__name__} nested too deeply to print>"
+    return text if len(text) <= 80 else f"{text[:20]}... ({len(text)} characters)"
 
 
 def require_int(name: str, x) -> None:

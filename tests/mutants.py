@@ -35,10 +35,22 @@ CLI = "src/basediv/cli.py"
 CLASSIFY_TESTS = ("tests/test_classifier.py", "tests/test_acceptance.py")
 WALK_TESTS = ("tests/test_cones.py",)
 
+# the opening of classifier._classify, in source order
+H_READ = "    h_vec = ctx.lat.vector(H)\n"
+HYPOTHESES = (
+    "    if ctx.dtype is None:\n"
+    '        raise HypothesisError("context declares no deformation type; RR data is required")\n'
+    "    if not ctx.strong_rlf:\n"
+    "        raise HypothesisError(\n"
+    '            "context does not certify the Lagrangian-fibration hypothesis (strong_rlf);"\n'
+    '            " refusing to classify rather than guess"\n'
+    "        )\n"
+)
+
 # (name, file, original text, mutated text, test files)
 MUTANTS = (
-    # classify checks H before the hypotheses, as classification_report does
-    ("classify-order", CLASSIFIER, "h_vec = ctx.lat.vector(H)\n    _require_hypotheses(ctx)\n    return", "_require_hypotheses(ctx)\n    h_vec = ctx.lat.vector(H)\n    return", CLASSIFY_TESTS),
+    # the classify run reads H against the lattice before it requires the hypotheses
+    ("classify-order", CLASSIFIER, H_READ + HYPOTHESES, HYPOTHESES + H_READ, CLASSIFY_TESTS),
     # the big-and-nef checks that open the classify run
     ("big-sign", CLASSIFIER, "if q_h <= 0:", "if q_h < 0:", CLASSIFY_TESTS),
     ("ample-sign", CLASSIFIER, "if p_h <= 0:", "if p_h < 0:", CLASSIFY_TESTS),
@@ -102,6 +114,9 @@ MUTANTS = (
     ("exponent-guard-underscores", RIEMANN_ROCH, '.replace("_", "").lstrip("+-0")', '.lstrip("+-0")', ("tests/test_riemann_roch.py",)),
     ("show-int-limit", ERRORS, "n.bit_length() <= 3 * limit", "n.bit_length() <= 4 * limit", ("tests/test_context_parse.py",)),
     ("show-value-string-limit", ERRORS, "len(x) > 80", "len(x) > 10**4", ("tests/test_context_parse.py",)),
+    ("show-value-item-limit", ERRORS, "len(x) > 16", "len(x) >= 16", ("tests/test_context_parse.py",)),
+    ("show-value-repr-limit", ERRORS, "len(text) <= 80", "len(text) < 80", ("tests/test_context_parse.py",)),
+    ("show-value-recursion", ERRORS, "except RecursionError:", "except ZeroDivisionError:", ("tests/test_context_parse.py",)),
     # the CLI's one choice of output format, and validate-context's exit code
     ("format-branch", CLI, 'if args.format == "json":', 'if args.format != "json":', ("tests/test_cli.py",)),
     ("validate-structural-code", CLI, "else 2 if any(", "else 1 if any(", ("tests/test_cli.py",)),

@@ -21,7 +21,6 @@ from basediv import (
     NumericalNLType,
     ReflectionTrace,
     StructuralError,
-    check_2H,
     classification_report,
     classify,
     enumerate_vectors,
@@ -295,8 +294,15 @@ K3_PENCIL_PLUS = ([[0, 1, 0], [1, -2, 0], [0, 0, 2]], (3, 1, 0), [(0, 1, 0)], (3
 def test_decompositions_meet_the_paper_invariants(case, kind, n):
     """On the random contexts of the reference scan, every decomposition found
     has its numerical type (m, d, q(F)) among nl_numerical_types and passes
-    verify_decomposition; on K3^[n] that type is (q(H)/2 + 1, 1, -2), and on
-    Kum^(n+1) no big-and-nef class has one."""
+    verify_decomposition; on K3^[n] that type is (q(H)/2 + 1, 1, -2) and 2H
+    has none, and on Kum^(n+1) no big-and-nef class has one.
+
+    2H never classifies on a K3^[n] context that passes the checks.  Suppose
+    2H = m'L' + F' with d' = (L', F') > 0.  The checks give q(F') | 2*div(F'),
+    and div(F') divides d', so -q(F') <= 2d'.  chi = C(m' + n, n) forces
+    m' = q(2H)/2 + 1 = 2q(H) + 1, and then 4q(H) = 2m'd' + q(F') >= 4q(H)d'
+    forces d' = 1 and q(F') = -2.  So (2H, F') = m' + q(F') = 2q(H) - 1 is
+    odd, yet it equals 2(H, F')."""
     gram, ample, peds, h_vec, m = case
     lat = Lattice(gram)
     q_h = square(lat, h_vec)
@@ -315,6 +321,7 @@ def test_decompositions_meet_the_paper_invariants(case, kind, n):
     assert verify_decomposition(ctx, h_vec, dec)
     if kind == K3N:
         assert (dec.m, dec.d, q_f) == (q_h // 2 + 1, 1, -2)
+        assert classify(ctx, tuple(2 * x for x in h_vec)) is None
 
 
 def test_classify_on_hyperbolic_plane_context():
@@ -465,13 +472,11 @@ def test_classification_report_certifies_once(k3_pencil, monkeypatch):
     assert calls == {"rr_eval": 1, "check_strict_monotonic": 1, "square": 0}
 
 
-def test_check_2h(k3_pencil):
-    assert check_2H(k3_pencil, (3, 1))
-    assert check_2H(k3_pencil, (2, 1))
-    # (5, 2) is big and nef but carries no base divisor, so the check refuses
-    assert classify(k3_pencil, (5, 2)) is None
-    with pytest.raises(DomainError):
-        check_2H(k3_pencil, (5, 2))
+def test_doubled_pencil_classes_carry_no_base_divisor(k3_pencil):
+    assert classify(k3_pencil, (3, 1)) == Decomposition(3, (1, 0), (0, 1), 1)
+    assert classify(k3_pencil, (2, 1)) == Decomposition(2, (1, 0), (0, 1), 1)
+    assert classify(k3_pencil, (6, 2)) is None
+    assert classify(k3_pencil, (4, 2)) is None
 
 
 def family_context(dtype, k, t, order):
@@ -510,17 +515,12 @@ def family_classes(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(family_classes())
-def test_check_2h_holds_on_geometric_families(case):
-    """check_2H is True for every classified H on a consistent geometric family;
-    on Kum^n, H has no decomposition and check_2H refuses it."""
+def test_doubling_clears_base_divisors_on_geometric_families(case):
+    """On a consistent geometric family H classifies as expected and 2H has no
+    decomposition; on Kum^n, H has none either."""
     ctx, h_vec, expected = case
-    if ctx.dtype.kind == KUMN:
-        assert classify(ctx, h_vec) is None
-        with pytest.raises(DomainError, match="carry a base divisor"):
-            check_2H(ctx, h_vec)
-        return
-    assert classify(ctx, h_vec) == expected
-    assert check_2H(ctx, h_vec)
+    assert classify(ctx, h_vec) == (None if ctx.dtype.kind == KUMN else expected)
+    assert classify(ctx, tuple(2 * x for x in h_vec)) is None
 
 
 def test_classification_report_shape(k3_pencil):

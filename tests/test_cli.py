@@ -268,6 +268,16 @@ def test_validate_context_structural_failure_is_exit_two(capsys, tmp_path):
     assert "context invalid" in out
 
 
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "basediv", "rank2-scan", "--bound", "1", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"bound": 1, "classes": [[-1, 1], [1, -1]]}
+
+
 # Run with -S so that the host's site module cannot load typing first.  The
 # further arguments are Generic contexts that the library also parses and
 # classifies, as a caller that never starts the CLI would.

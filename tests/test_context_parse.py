@@ -4,6 +4,7 @@ GeometricContext.from_json_dict with validate_context_payload."""
 
 import contextlib
 import copy
+import functools
 import io
 import json
 import sys
@@ -31,7 +32,7 @@ from basediv import (
     validate_context_payload,
 )
 from basediv.cli import main
-from basediv.errors import show_int
+from basediv.errors import show_int, show_value
 from basediv.riemann_roch import HALF_DIM_LIMIT, deformation_from_json_dict
 
 from conftest import fixture_path
@@ -70,6 +71,7 @@ CASES = [
     ("coeffs-word", generic(["x", "1"]), 2, "deformation.coeffs[0] must be a rational number", True),
     ("coeffs-zero-denominator", generic(["1/0", "1"]), 2, "deformation.coeffs[0] must be a rational number", True),
     ("coeffs-missing", deformation("Generic", 1), 2, 'Generic deformation JSON needs a "coeffs" array', True),
+    ("coeffs-empty", generic([]), 1, "coefficient vector must be nonempty", True),
     # more digits than int() converts (4300 by default), refused as unreadable
     ("coeffs-5000-digit-string", generic(["1", "7" * 5000]), 2, "deformation.coeffs[1] must be a rational number, got '77777777777777777777'... (5000 characters)", True),
     ("coeffs-5001-digits", generic(["1", "-1e5000"]), 1, "leading coefficient must be positive, got -<integer of 5001 digits>", True),
@@ -124,6 +126,13 @@ def test_show_int_abbreviates_only_past_the_digit_limit():
     assert show_int(-(10 ** (3 * limit))) == f"-<integer of {3 * limit + 1} digits>"
 
 
+def test_show_value_bounds_containers_and_reprs():
+    assert show_value(list(range(16))) == repr(list(range(16)))
+    assert show_value(tuple(range(17))) == "<tuple of 17 items>"
+    assert show_value(b"7" * 77) == repr(b"7" * 77)  # a repr of 80 characters
+    assert show_value(b"7" * 78) == "b'777777777777777777... (81 characters)"
+
+
 LONG = 10**5000
 PENCIL_CTX = GeometricContext.from_json_dict(PENCIL)
 
@@ -158,6 +167,37 @@ def test_long_integers_get_typed_errors(call, shown):
     except BasedivError as exc:
         text = str(exc)
     assert shown in text
+
+
+@pytest.mark.parametrize(
+    "call, error, shown",
+    [
+        (
+            lambda: deformation_from_json_dict({"kind": "Generic", "n": 1, "coeffs": [["7" * 5000], 1]}), StructuralError,
+            "deformation.coeffs[0] must be a rational number, got ['777777777777777777... (5004 characters)",
+        ),
+        (
+            lambda: make_type(GENERIC, 1, coeffs=[b"7" * 5000, 1]), DomainError,
+            "coeffs[0] must be a rational number, got b'777777777777777777... (5003 characters)",
+        ),
+        (
+            lambda: deformation_from_json_dict({"kind": "Generic", "n": 1, "coeffs": [[0] * 10**5, 1]}), StructuralError,
+            "deformation.coeffs[0] must be a rational number, got <list of 100000 items>",
+        ),
+        (
+            lambda: make_type(GENERIC, 1, coeffs=[functools.reduce(lambda inner, _: [inner], range(10**5), []), 1]), DomainError,
+            "coeffs[0] must be a rational number, got <list nested too deeply to print>",
+        ),
+    ],
+    ids=["nested-string", "bytes", "long-list", "deep-list"],
+)
+def test_long_values_are_abbreviated(call, error, shown):
+    """A long value inside a container, a long bytes value, a container of
+    many items and a deep nesting are shown in a bounded diagnostic that
+    still names the path."""
+    with pytest.raises(error) as info:
+        call()
+    assert shown in str(info.value) and len(str(info.value)) < 300
 
 
 @pytest.mark.parametrize(

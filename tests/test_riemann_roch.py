@@ -664,12 +664,15 @@ def test_library_coefficients_of_other_types_are_exact():
             (CapabilityError, r"^coeffs\[0\] = <integer of 5001 digits> cannot be written: str\(\) refuses an integer that long$"),
         ),
         (lambda: repr(make_type(GENERIC, 1, coeffs=["1e5000", 1]).rr), "RRPolynomial(['<integer of 5001 digits>', '1'])"),
+        (lambda: RRPolynomial([]), (DomainError, r"^coefficient vector must be nonempty$")),
+        (lambda: make_type(GENERIC, 1, coeffs=[]), (DomainError, r"^coefficient vector must be nonempty$")),
     ],
-    ids=["iterator", "int", "json-of-a-long-coefficient", "repr-of-a-long-coefficient"],
+    ids=["iterator", "int", "json-of-a-long-coefficient", "repr-of-a-long-coefficient", "empty-polynomial", "empty-make-type"],
 )
 def test_generic_coefficients_get_typed_errors(call, expected):
-    """Coefficient containers other than a list or tuple, and coefficients too long
-    for str(), give a BasedivError or a shown value, never Python's own error."""
+    """Coefficient containers other than a list or tuple, empty ones, and
+    coefficients too long for str(), give a BasedivError or a shown value,
+    never Python's own error."""
     if isinstance(expected, str):
         assert call() == expected
     else:
