@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from operator import gt, mul, sub
+from operator import gt, sub
 
 from .cones import GeometricContext, _Record, _set, in_bk_closure
 from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError, require_int, show_int, show_vec
@@ -109,16 +109,11 @@ def _classify(ctx: GeometricContext, H: Iterable[int]) -> tuple[int, int, Decomp
             "context does not certify the Lagrangian-fibration hypothesis (strong_rlf);"
             " refusing to classify rather than guess"
         )
-    r = ctx.lat.rank
-    # G*H, then (H, ample), the (H, D_i) and the (H, W_j): see GeometricContext.rows
-    pairs = [sum(map(mul, h_vec, g)) for g in ctx.rows]
-    q_h = sum(map(mul, h_vec, pairs))  # map stops after the r entries of G*H
+    q_h, p_h, pairings = ctx._pairings(h_vec)  # the (H, D_i), then the (H, W_j)
     if q_h <= 0:
         raise DomainError(f"H is not big: q(H) = {show_int(q_h)} must be positive")
-    p_h = pairs[r]
     if p_h <= 0:
         raise DomainError(f"(H, ample) = {show_int(p_h)} must be positive")
-    pairings = pairs[r + 1:]
     if min(pairings, default=0) < 0:
         p, d = next((p, d) for p, d in zip(pairings, ctx.peds + ctx.walls) if p < 0)
         raise DomainError(f"H is not nef against the declared classes: (H, {show_vec(d)}) = {show_int(p)} < 0")

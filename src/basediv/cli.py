@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classifier import classification_report, kumn_nonexistence_search, nl_numerical_types
@@ -216,11 +217,15 @@ def main(argv=None) -> int:
     try:
         code, report, lines = args.handler(args)
         if args.format == "json":
-            print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False))
-        else:
-            for line in lines:
-                print(line)
+            lines = [json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)]
+        for line in lines:
+            print(line)
+        sys.stdout.flush()  # a reader that closed the pipe fails here, not in the interpreter's exit
         return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the buffered rest goes nowhere
+        print("error: standard output was closed by its reader", file=sys.stderr)
+        return 1
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,6 @@ from .lattice import (
     dot,
     enumerate_vectors,
     gram_image,
-    pairing,
     square,
 )
 from .riemann_roch import DeformationType, deformation_from_json_dict
@@ -96,19 +95,18 @@ def _divisibility_holds(qd: int, dv: int) -> bool:
 
 
 def _check_ped(lat: Lattice, ample: Vec, d: Vec, label: str) -> list[ContextCheck]:
-    checks = []
     shown = show_vec(d)
     if not any(d):
         return [ContextCheck(f"{label}-nonzero", False, f"declared ped {shown} is the zero vector")]
     g = gram_image(lat, d)  # q(D), (ample, D) and div(D) all read G*D
     qd = dot(d, g)
-    checks.append(
+    checks = [
         ContextCheck(
             f"{label}-negative-square",
             qd < 0,
             f"q({shown}) = {show_int(qd)}" + ("" if qd < 0 else " but a prime-exceptional class needs q < 0"),
         )
-    )
+    ]
     checks.append(
         ContextCheck(
             f"{label}-primitive",
@@ -187,11 +185,11 @@ class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds")):
     refuses to run without it.  ``note`` is free-form provenance, e.g. that
     the lattice is a Picard sublattice (divisibilities computed in a
     sublattice may exceed those in the full lattice).  ``rows`` stacks the
-    Gram rows, G*ample, G*D per ped D and G*W per wall W: one pass of dot
-    products with a checked class v gives G*v and every pairing of v.
-    ``ped_table`` holds per ped D_i the row ((D_i, ample), (D_i, D_0), ...,
-    (D_i, D_{k-1})), read instead of pairing again, and ``q_peds`` its
-    diagonal q(D_i), which the ped scan zips faster than it indexes.
+    Gram rows, G*ample, G*D per ped D and G*W per wall W; only ``_fill`` and
+    ``_pairings`` read that layout.  ``ped_table`` holds per ped D_i the row
+    ((D_i, ample), (D_i, D_0), ..., (D_i, D_{k-1})), read instead of pairing
+    again, and ``q_peds`` its diagonal q(D_i), which the ped scan zips faster
+    than it indexes.
     """
 
     __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "rows", "ped_table", "q_peds")
@@ -217,6 +215,12 @@ class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds")):
         q_peds = tuple(row[i + 1] for i, row in enumerate(ped_table))
         for name, value in zip(self.__slots__, (lat, ample, peds, walls, dtype, strong_rlf, note, rows, ped_table, q_peds)):
             _set(self, name, value)
+
+    def _pairings(self, v: Vec) -> tuple[int, int, list[int]]:
+        """q(v), (v, ample) and the list of the (v, D_i), then the (v, W_j), for a checked v: one pass over rows."""
+        pairs = [sum(map(mul, v, g)) for g in self.rows]
+        r = self.lat.rank
+        return sum(map(mul, v, pairs)), pairs[r], pairs[r + 1:]  # map stops after the r entries of G*v
 
     def to_json_dict(self) -> dict:
         data = {
@@ -321,13 +325,12 @@ def reflect(ctx: GeometricContext, d: Iterable[int], alpha: Iterable[int]) -> Ve
     guaranteed by the validated divisibility condition); ad-hoc roots with
     q(d) < 0 are accepted whenever the scalar happens to be integral.
     """
-    lat = ctx.lat
-    dv = lat.vector(d)
-    av = lat.vector(alpha)
-    qd = square(lat, dv)
+    dv, av = ctx.lat.vector(d), ctx.lat.vector(alpha)
+    g = gram_image(ctx.lat, dv)  # q(d) and (d, alpha) both read G*d
+    qd = dot(dv, g)
     if qd >= 0:
         raise DomainError(f"reflection root must have q < 0; q({show_vec(dv)}) = {show_int(qd)}")
-    num = 2 * pairing(lat, dv, av)
+    num = 2 * dot(av, g)
     if num % qd != 0:
         raise IntegralityError(
             f"2(d, alpha) = {show_int(num)} is not divisible by q(d) = {show_int(qd)};"
@@ -345,8 +348,8 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     order, for reproducible traces).  (alpha_i, ample) strictly decreases
     through positive integers, which bounds the number of steps by the
     initial pairing; any violation of that descent means the declared data
-    is inconsistent and raises ConsistencyError.  A step by a*D lowers the height by a*(D, ample), read
-    from the context's ped table.
+    is inconsistent and raises ConsistencyError.  alpha is paired once: a step by a*D lowers the height
+    by a*(D, ample) and each (alpha_i, D_j) by a*(D, D_j), read from D's row of the context's ped table.
 
     The result is in the declared BK closure with no check on exit: each step
     subtracts a*D with a = 2(alpha_i, D)/q(D) an integer, since the context
@@ -357,25 +360,21 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     current = ctx.lat.vector(alpha)
     if not any(current):
         raise DomainError("cannot walk the zero class")
-    qa = dot(current, gram_image(ctx.lat, current))
+    qa, height, row = ctx._pairings(current)
     if qa < 0:
         raise DomainError(f"q(alpha) = {show_int(qa)} must be nonnegative (closed positive cone)")
-    r = ctx.lat.rank
-    height = dot(current, ctx.rows[r])
     if height <= 0:
         raise DomainError(f"(alpha, ample) = {show_int(height)} must be positive")
-    g_peds = ctx.rows[r + 1:r + 1 + len(ctx.peds)]
+    row = row[:len(ctx.peds)]  # the (alpha, D); the walls do not cut the walk
     steps: list[tuple[Vec, int]] = []
     while True:
-        for i, g_d in enumerate(g_peds):
-            p = sum(map(mul, current, g_d))
+        for i, p in enumerate(row):
             if p < 0:
                 break
         else:
             break
         violated, d_row = ctx.peds[i], ctx.ped_table[i]
         a = 2 * p // ctx.q_peds[i]
-        nxt = tuple([c - a * x for c, x in zip(current, violated)])
         new_height = height - a * d_row[0]  # (alpha - a*D, ample)
         if not (0 < new_height < height):
             raise ConsistencyError(
@@ -383,7 +382,8 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
                 " the declared context data is inconsistent"
             )
         steps.append((violated, a))
-        current = nxt
+        current = tuple([c - a * x for c, x in zip(current, violated)])
+        row = [x - a * y for x, y in zip(row, d_row[1:])]  # (alpha - a*D, D_j)
         height = new_height
     return ReflectionTrace(result=current, steps=tuple(steps))
 
@@ -394,10 +394,8 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
 def in_positive_cone(ctx: GeometricContext, alpha: Iterable[int], closed: bool = False) -> bool:
     """Membership in the (open or closed) positive cone on the ample side."""
     a = ctx.lat.vector(alpha)
-    if closed and not any(a):
-        return True
-    qa = dot(a, gram_image(ctx.lat, a))
-    return (qa >= 0 if closed else qa > 0) and dot(a, ctx.rows[ctx.lat.rank]) > 0
+    qa, pa, _ = ctx._pairings(a)
+    return (qa >= 0 if closed else qa > 0) and (pa > 0 or closed and not any(a))
 
 
 def in_bk_closure(ctx: GeometricContext, alpha: Iterable[int]) -> bool:
@@ -408,8 +406,8 @@ def in_bk_closure(ctx: GeometricContext, alpha: Iterable[int]) -> bool:
     complete as the declaration.
     """
     a = ctx.lat.vector(alpha)
-    g_peds = ctx.rows[ctx.lat.rank + 1:ctx.lat.rank + 1 + len(ctx.peds)]
-    return in_positive_cone(ctx, a, closed=True) and all(dot(a, g) >= 0 for g in g_peds)
+    qa, pa, pairs = ctx._pairings(a)
+    return (qa >= 0 and pa > 0 or not any(a)) and min(pairs[:len(ctx.peds)], default=0) >= 0
 
 
 def ped_inequality_check(lat: Lattice, d: Iterable[int]) -> bool:

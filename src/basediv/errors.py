@@ -43,19 +43,20 @@ class ConsistencyError(BasedivError):
 
 
 def show_int(x: int) -> str:
-    """str(x), or its sign and digit count when str() would refuse x for
-    having more than sys.get_int_max_str_digits() digits, so that a
-    diagnostic can always be formatted."""
+    """str(x), or its sign and digit count when str() would refuse x for having more than
+    sys.get_int_max_str_digits() digits, so that a diagnostic can always be formatted; past
+    10**5 digits the count, read from the bit length alone, is "about" and may be one short."""
     limit = sys.get_int_max_str_digits()
     n = abs(x)
     if not limit or n.bit_length() <= 3 * limit:  # n < 8**limit has at most limit digits
         return str(x)
     digits = (n.bit_length() - 1) * 30102999 // 10**8 + 1  # 2**(b-1) <= n; log10(2) > 0.30102999
-    while n >= 10**digits:
+    about = digits > max(limit, 10**5)  # past that, 10**digits costs more than the message
+    while not about and n >= 10**digits:
         digits += 1
     if digits <= limit:
         return str(x)
-    return f"{'-' if x < 0 else ''}<integer of {digits} digits>"
+    return f"{'-' if x < 0 else ''}<integer of {'about ' if about else ''}{digits} digits>"
 
 
 def show_vec(v) -> str:

@@ -71,12 +71,13 @@ MUTANTS = (
     ("walk-scalar", CONES, "a = 2 * p // ctx.q_peds[i]", "a = 4 * p // ctx.q_peds[i]", WALK_TESTS),
     ("walk-height-column", CONES, "height - a * d_row[0]", "height - a * d_row[1]", WALK_TESTS),
     ("walk-descent", CONES, "if not (0 < new_height < height):", "if not (new_height < height):", WALK_TESTS),
-    # the ped images the walk and the closure test slice from the context's rows,
-    # and q(D), the diagonal of the ped table
-    ("walk-ped-slice-start", CONES, "g_peds = ctx.rows[r + 1:r + 1 + len(ctx.peds)]\n    steps", "g_peds = ctx.rows[r:r + 1 + len(ctx.peds)]\n    steps", WALK_TESTS),
-    ("walk-ped-slice-end", CONES, "g_peds = ctx.rows[r + 1:r + 1 + len(ctx.peds)]\n    steps", "g_peds = ctx.rows[r + 1:]\n    steps", WALK_TESTS),
-    ("closure-ped-slice-start", CONES, "ctx.rows[ctx.lat.rank + 1:ctx.lat.rank + 1", "ctx.rows[ctx.lat.rank + 2:ctx.lat.rank + 1", WALK_TESTS),
-    ("closure-ped-slice-end", CONES, "ctx.rows[ctx.lat.rank + 1:ctx.lat.rank + 1 + len(ctx.peds)]", "ctx.rows[ctx.lat.rank + 1:]", WALK_TESTS),
+    # the walk's row: the (alpha, D) cut from the walls, updated from D's row of the ped table
+    ("walk-wall-cut", CONES, "row = row[:len(ctx.peds)]", "row = row", WALK_TESTS),
+    ("walk-row-column", CONES, "zip(row, d_row[1:])", "zip(row, d_row[:-1])", WALK_TESTS),
+    ("closure-wall-cut", CONES, "min(pairs[:len(ctx.peds)], default=0)", "min(pairs, default=0)", WALK_TESTS),
+    # the one reader of the context's rows, and q(D), the diagonal of the ped table
+    ("pairings-ample-index", CONES, "pairs[r], pairs[r + 1:]", "pairs[r - 1], pairs[r + 1:]", WALK_TESTS),
+    ("pairings-ped-start", CONES, "pairs[r], pairs[r + 1:]", "pairs[r], pairs[r:]", WALK_TESTS),
     ("ped-table-diagonal", CONES, "row[i + 1] for i, row", "row[i] for i, row", WALK_TESTS),
     # each constructor checks the fields it stores
     ("strong-rlf-type", CONES, "if not isinstance(strong_rlf, bool):", "if False:", WALK_TESTS),
@@ -113,13 +114,17 @@ MUTANTS = (
     ("coefficient-implied-denominator", RIEMANN_ROCH, "int(den_text) if slash else 1", "int(den_text) if slash else 2", ("tests/test_riemann_roch.py",)),
     ("exponent-guard-underscores", RIEMANN_ROCH, '.replace("_", "").lstrip("+-0")', '.lstrip("+-0")', ("tests/test_riemann_roch.py",)),
     ("show-int-limit", ERRORS, "n.bit_length() <= 3 * limit", "n.bit_length() <= 4 * limit", ("tests/test_context_parse.py",)),
+    ("show-int-estimate-cap", ERRORS, "about = digits > max(limit, 10**5)", "about = digits >= max(limit, 10**5)", ("tests/test_context_parse.py",)),
+    ("show-int-estimate", ERRORS, "about = digits > max(limit, 10**5)", "about = False", ("tests/test_context_parse.py",)),
     ("show-value-string-limit", ERRORS, "len(x) > 80", "len(x) > 10**4", ("tests/test_context_parse.py",)),
     ("show-value-item-limit", ERRORS, "len(x) > 16", "len(x) >= 16", ("tests/test_context_parse.py",)),
     ("show-value-repr-limit", ERRORS, "len(text) <= 80", "len(text) < 80", ("tests/test_context_parse.py",)),
     ("show-value-recursion", ERRORS, "except RecursionError:", "except ZeroDivisionError:", ("tests/test_context_parse.py",)),
-    # the CLI's one choice of output format, and validate-context's exit code
+    # the CLI's one choice of output format, validate-context's exit code, and the
+    # flush that meets a closed pipe inside main
     ("format-branch", CLI, 'if args.format == "json":', 'if args.format != "json":', ("tests/test_cli.py",)),
     ("validate-structural-code", CLI, "else 2 if any(", "else 1 if any(", ("tests/test_cli.py",)),
+    ("closed-pipe-flush", CLI, "        sys.stdout.flush()  #", "        pass  #", ("tests/test_cli.py",)),
 )
 
 

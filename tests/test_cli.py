@@ -278,6 +278,23 @@ def test_package_runs_as_a_module():
     assert json.loads(proc.stdout) == {"bound": 1, "classes": [[-1, 1], [1, -1]]}
 
 
+def test_closed_pipe_gives_one_error_line():
+    """A reader that closed stdout before the output was written gets exit 1 and
+    one error line, no traceback, whether stdout is buffered or not."""
+    for unbuffered in ("", "1"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "basediv", "validate-context", "--input", PENCIL, "--format", "json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "error: standard output was closed by its reader\n")
+
+
 # Run with -S so that the host's site module cannot load typing first.  The
 # further arguments are Generic contexts that the library also parses and
 # classifies, as a caller that never starts the CLI would.

@@ -253,13 +253,15 @@ def test_bk_closure_examples(u_walk_ctx):
 
 
 def test_walls_cut_neither_the_closure_nor_the_walk():
-    """The walk and the closure test read the ped images of the context's rows,
-    not the wall images stacked after them."""
+    """The walk and the closure test cut the context's pairings to the peds,
+    leaving out the wall pairings listed after them."""
     ctx = GeometricContext(U, (1, 1), walls=[(1, -1)])
     assert in_bk_closure(ctx, (2, 1))
     ctx = GeometricContext(U, (2, 1), peds=[(-1, 1)], walls=[(1, -1)])
     assert in_bk_closure(ctx, (1, 0)) and not in_bk_closure(ctx, (0, 1))
     assert reflect_into_bk(ctx, (0, 1)) == ReflectionTrace((1, 0), (((-1, 1), 1),))
+    # (2, 1) pairs 1 with the ped and -1 with the wall: the walk leaves it as it is
+    assert reflect_into_bk(ctx, (2, 1)) == ReflectionTrace((2, 1))
 
 
 def test_ped_inequality_examples():
@@ -353,6 +355,8 @@ WALK_CONTEXTS = (
     ),
     # U + <+2>: its signature breaks the descent argument (see above)
     GeometricContext(direct_sum(U, rank_one(2)), (1, 1, 0), peds=[(2, -1, 1)]),
+    # walls, which the walk must not reflect in: (1, 1, -1) pairs -1 with the first
+    GeometricContext(direct_sum(U, rank_one(-2)), (1, 2, -1), peds=[(1, -1, 0), (0, 0, 1)], walls=[(1, -2, 0), (2, -1, 1)]),
 )
 
 
@@ -408,6 +412,7 @@ def _outcome(walk, ctx, alpha):
 @given(st.integers(0, len(WALK_CONTEXTS) - 1), st.lists(st.integers(-8, 8), min_size=4, max_size=4))
 @example(3, [1, 0, 0, 0])
 @example(2, [0, 8, -3, 2])
+@example(4, [1, 1, -1, 0])
 def test_walk_matches_reference_walk(i, coords):
     """The walk agrees with the reference, and a completed walk is an isometry
     ending in the closed positive cone: the exit check reflect_into_bk leaves

@@ -8,6 +8,7 @@ import functools
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -124,6 +125,18 @@ def test_show_int_abbreviates_only_past_the_digit_limit():
         assert show_int(x) == str(x)
     assert show_int(10**limit) == f"<integer of {limit + 1} digits>"
     assert show_int(-(10 ** (3 * limit))) == f"-<integer of {3 * limit + 1} digits>"
+
+
+def test_show_int_counts_a_huge_integer_from_its_bit_length():
+    """Past 10**5 digits no power of ten is built; up to 10**5 the text is exact."""
+    x = (2 * 2**2**20 + 1) ** 5  # 5,242,886 bits
+    start = time.perf_counter()
+    text = show_int(-x)
+    assert time.perf_counter() - start < 0.05
+    assert text == "-<integer of about 1578266 digits>"
+    assert show_int(10**100000 - 1) == "<integer of 100000 digits>"
+    assert show_int(10**100000) == "<integer of 100001 digits>"  # the estimate, 100000, is one short
+    assert show_int(-(10**100001)) == "-<integer of about 100001 digits>"
 
 
 def test_show_value_bounds_containers_and_reprs():

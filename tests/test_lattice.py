@@ -138,7 +138,7 @@ def test_enumerate_vectors_guards():
 @pytest.mark.parametrize("lat", [rank_one(2), direct_sum(U, U, U)], ids=["rank-1", "rank-6"])
 def test_enumerate_vectors_refuses_a_huge_bound_quickly(lat, bound):
     start = time.perf_counter()
-    with pytest.raises(CapabilityError, match=r"^box enumeration at rank \d, bound <integer of \d+ digits> visits more than \d+ prefixes"):
+    with pytest.raises(CapabilityError, match=r"^box enumeration at rank \d, bound <integer of (about )?\d+ digits> visits more than \d+ prefixes"):
         enumerate_vectors(lat, 0, bound)
     assert time.perf_counter() - start < 2.0
 
