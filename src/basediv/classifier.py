@@ -26,7 +26,7 @@ import math
 from collections.abc import Iterable
 from operator import gt, sub
 
-from .cones import GeometricContext, _Record, _set, in_bk_closure
+from .cones import GeometricContext, _Record, _set
 from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError, require_int, show_int, show_vec
 from .lattice import (
     Vec,
@@ -190,7 +190,7 @@ def verify_decomposition(ctx: GeometricContext, H: Iterable[int], dec: Decomposi
         return False
     if chi != math.comb(dec.m + ctx.dtype.n, ctx.dtype.n):
         return False
-    return in_bk_closure(ctx, l_vec)
+    return pairing(lat, l_vec, ctx.ample) > 0 and all(pairing(lat, l_vec, d) >= 0 for d in ctx.peds)  # the closure test, as L != 0 = q(L)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ records the step multiplicities, which reconstruct the input exactly.
 from __future__ import annotations
 
 import math
+import struct
 from collections.abc import Iterable, Sequence
 from operator import mul
 
@@ -175,7 +176,7 @@ def _field_checks(checks, lat, ample, peds, walls, strong_rlf, note, note_given)
     return checks
 
 
-class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds")):
+class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds", "cols", "bias", "vmax", "words")):
     """Lattice + ample class + declared divisor data + hypothesis flags.
 
     Construction checks every field and raises on the first failure, so a
@@ -185,14 +186,16 @@ class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds")):
     refuses to run without it.  ``note`` is free-form provenance, e.g. that
     the lattice is a Picard sublattice (divisibilities computed in a
     sublattice may exceed those in the full lattice).  ``rows`` stacks the
-    Gram rows, G*ample, G*D per ped D and G*W per wall W; only ``_fill`` and
-    ``_pairings`` read that layout.  ``ped_table`` holds per ped D_i the row
-    ((D_i, ample), (D_i, D_0), ..., (D_i, D_{k-1})), read instead of pairing
-    again, and ``q_peds`` its diagonal q(D_i), which the ped scan zips faster
-    than it indexes.
+    Gram rows, G*ample, G*D per ped D and G*W per wall W; ``cols`` packs its
+    columns into integers of one 64-bit word per row, with ``bias``, the
+    coordinate bound ``vmax`` and the ``words`` that unpack them (see
+    ``_pairings``); only ``_fill`` and ``_pairings`` read that layout.
+    ``ped_table`` holds per ped D_i the row ((D_i, ample), (D_i, D_0), ...,
+    (D_i, D_{k-1})), read instead of pairing again, and ``q_peds`` its
+    diagonal q(D_i), which the ped scan zips faster than it indexes.
     """
 
-    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "rows", "ped_table", "q_peds")
+    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "rows", "ped_table", "q_peds", "cols", "bias", "vmax", "words")
 
     def __init__(
         self,
@@ -213,12 +216,28 @@ class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds")):
         rows = lat.gram + tuple(gram_image(lat, v) for v in (ample,) + peds + walls)
         ped_table = tuple(tuple(dot(d, g) for g in rows[lat.rank:lat.rank + 1 + len(peds)]) for d in peds)
         q_peds = tuple(row[i + 1] for i, row in enumerate(ped_table))
-        for name, value in zip(self.__slots__, (lat, ample, peds, walls, dtype, strong_rlf, note, rows, ped_table, q_peds)):
+        cols = tuple(sum(row[i] << 64 * j for j, row in enumerate(rows)) for i in range(lat.rank))
+        bias = sum(1 << 64 * j + 63 for j in range(len(rows)))
+        vmax = 2**63 // max(sum(map(abs, row)) for row in rows)  # G*ample is nonzero, as q(ample) > 0
+        words = struct.Struct(f"<{len(rows)}q")
+        for name, value in zip(self.__slots__, (lat, ample, peds, walls, dtype, strong_rlf, note, rows, ped_table, q_peds, cols, bias, vmax, words)):
             _set(self, name, value)
 
-    def _pairings(self, v: Vec) -> tuple[int, int, list[int]]:
-        """q(v), (v, ample) and the list of the (v, D_i), then the (v, W_j), for a checked v: one pass over rows."""
-        pairs = [sum(map(mul, v, g)) for g in self.rows]
+    def _pairings(self, v: Vec) -> tuple[int, int, Sequence[int]]:
+        """q(v), (v, ample) and the (v, D_i), then the (v, W_j), for a checked v, in one pass.
+
+        With P_i = sum_j rows[j][i] * 2^(64j), sum_i v_i*P_i = sum_j (v, row_j) * 2^(64j).
+        If every |v_i| < vmax = 2^63 // (the largest L1 norm of a row), every
+        |(v, row_j)| < 2^63, so the bias B = sum_j 2^(64j+63) puts each word in
+        [0, 2^64), no word carries, and XOR with B leaves each word the two's
+        complement of (v, row_j).  A larger coordinate is paired row by row.
+        """
+        vmax = self.vmax
+        if -vmax < min(v) and max(v) < vmax:
+            words = self.words
+            pairs = words.unpack(((sum(map(mul, v, self.cols)) + self.bias) ^ self.bias).to_bytes(words.size, "little"))
+        else:
+            pairs = [sum(map(mul, v, g)) for g in self.rows]
         r = self.lat.rank
         return sum(map(mul, v, pairs)), pairs[r], pairs[r + 1:]  # map stops after the r entries of G*v
 

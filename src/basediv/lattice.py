@@ -246,6 +246,8 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
             f"box enumeration at rank {lat.rank}, bound {show_int(coeff_bound)} visits"
             f" {'more than ' if coeff_bound > ENUM_PREFIX_LIMIT else ''}{prefixes} prefixes; the limit is {ENUM_PREFIX_LIMIT}"
         )
+    if abs(square_value) > coeff_bound**2 * sum(abs(g) for row in lat.gram for g in row):
+        return []  # |q(v)| <= B^2 * sum |g_ij| in the box; saves a square root of a huge target per prefix
     if lat.rank == 1:
         return [(x,) for x in _last_coordinate(lat.gram[0][0], 0, -square_value, coeff_bound)]
     return _completions(lat.gram, range(-coeff_bound, coeff_bound + 1), -square_value, (0,) * lat.rank, {})

@@ -64,6 +64,9 @@ MUTANTS = (
     ("closure-ped-half", CLASSIFIER, "if f_row[0] >= p_h or any(map(gt, f_row[1:], pairings)):", "if f_row[0] >= p_h:", CLASSIFY_TESTS),
     ("table-column", CLASSIFIER, "map(gt, f_row[1:], pairings)", "map(gt, f_row[:-1], pairings)", CLASSIFY_TESTS),
     ("uniqueness", CLASSIFIER, "if len(matches) > 1:", "if len(matches) > 2:", CLASSIFY_TESTS),
+    # verify_decomposition's own closure test, both halves
+    ("verify-closure-ample", CLASSIFIER, "pairing(lat, l_vec, ctx.ample) > 0 and all(", "all(", CLASSIFY_TESTS),
+    ("verify-closure-peds", CLASSIFIER, "pairing(lat, l_vec, d) >= 0 for d in ctx.peds", "pairing(lat, l_vec, d) >= -1 for d in ctx.peds", CLASSIFY_TESTS),
     # the numerical Noether-Lefschetz types
     ("nl-chi-floor", CLASSIFIER, "if chi < 1:", "if chi < 0:", CLASSIFY_TESTS),
     ("nl-limit", CLASSIFIER, "if hi - lo + 1 > NL_TYPES_LIMIT:", "if hi - lo + 1 >= NL_TYPES_LIMIT:", CLASSIFY_TESTS),
@@ -79,6 +82,11 @@ MUTANTS = (
     ("pairings-ample-index", CONES, "pairs[r], pairs[r + 1:]", "pairs[r - 1], pairs[r + 1:]", WALK_TESTS),
     ("pairings-ped-start", CONES, "pairs[r], pairs[r + 1:]", "pairs[r], pairs[r:]", WALK_TESTS),
     ("ped-table-diagonal", CONES, "row[i + 1] for i, row", "row[i] for i, row", WALK_TESTS),
+    # the packed pairing pass: its guard on both sides of zero, the bias bit, and the guard itself
+    ("packed-upper-guard", CONES, "max(v) < vmax:", "max(v) <= vmax:", WALK_TESTS),
+    ("packed-lower-guard", CONES, "-vmax < min(v)", "-vmax <= min(v)", WALK_TESTS),
+    ("packed-bias-bit", CONES, "64 * j + 63", "64 * j + 62", WALK_TESTS),
+    ("packed-guard", CONES, "if -vmax < min(v) and max(v) < vmax:", "if True:", WALK_TESTS),
     # each constructor checks the fields it stores
     ("strong-rlf-type", CONES, "if not isinstance(strong_rlf, bool):", "if False:", WALK_TESTS),
     ("note-type", CONES, "if note_given and not isinstance(note, str):", "if False:", WALK_TESTS),
@@ -102,6 +110,7 @@ MUTANTS = (
     ("rr-eval-guard", RIEMANN_ROCH, "if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:", "if q.bit_length() > RR_EVAL_BITS_LIMIT:", ("tests/test_riemann_roch.py",)),
     ("last-coordinate-remainder", LATTICE, "if rem == 0 and -bound <= x <= bound:", "if -bound <= x <= bound:", ("tests/test_lattice.py",)),
     ("completions-memo-key", LATTICE, "memo[i, c] = out", "memo[i, 0] = out", ("tests/test_lattice.py",)),
+    ("enumerate-square-bound", LATTICE, "if abs(square_value) > coeff_bound**2", "if abs(square_value) >= coeff_bound**2", ("tests/test_lattice.py",)),
     # the scans answered by their proofs, and the shared ped divisibility test
     ("rank2-floor", CONES, "if bound < 1:", "if bound < 0:", ("tests/test_cones.py",)),
     ("kumn-guard", CLASSIFIER, "if work > KUMN_SEARCH_LIMIT:", "if work >= KUMN_SEARCH_LIMIT:", ("tests/test_classifier.py",)),

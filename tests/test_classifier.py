@@ -386,6 +386,7 @@ BROKEN_DECOMPOSITIONS = [
     ("L-not-isotropic", K3_1, (6, 4), Decomposition(3, (2, 1), (0, 1), 1)),
     ("L-not-primitive", K3_1, (6, 1), Decomposition(3, (2, 0), (0, 1), 2)),
     ("F-not-declared", K3_1, (4, -1), Decomposition(3, (1, 0), (1, -1), 1)),
+    ("L-outside-the-closure", K3_1, (-3, -2), Decomposition(3, (-1, -1), (0, 1), 1)),  # (L, ample) = -2
     ("chi-not-binomial", make_type(KUMN, 2), (3, 1), Decomposition(3, (1, 0), (0, 1), 1)),  # chi = 18, C(5, 2) = 10
 ]
 
@@ -396,6 +397,18 @@ BROKEN_DECOMPOSITIONS = [
 def test_verify_decomposition_refuses_each_broken_condition(dtype, h, dec):
     ctx = GeometricContext(Lattice([[0, 1], [1, -2]]), (3, 1), peds=[(0, 1)], dtype=dtype, strong_rlf=True)
     assert verify_decomposition(ctx, h, dec) is False
+
+
+def test_verify_decomposition_tests_the_closure_against_every_ped():
+    """L = (1, 0, 0) is isotropic and primitive and pairs 2 with the ample class
+    and 1 with F, but -1 with the second declared ped."""
+    lat = Lattice([[0, 1, 0], [1, 0, 0], [0, 0, -2]])
+    dec = Decomposition(3, (1, 0, 0), (0, 1, -1), 1)
+    ctx = GeometricContext(lat, (1, 2, 0), peds=[(0, 1, -1)], dtype=K3_1, strong_rlf=True)
+    assert verify_decomposition(ctx, (3, 1, -1), dec) is True
+    ctx = GeometricContext(lat, (1, 2, 0), peds=[(0, 1, -1), (1, -1, 0)], dtype=K3_1, strong_rlf=True)
+    assert verify_decomposition(ctx, (3, 1, -1), dec) is False
+    assert not in_bk_closure(ctx, dec.L)
 
 
 @pytest.mark.parametrize(

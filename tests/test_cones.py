@@ -154,6 +154,7 @@ def test_contexts_compare_by_value_and_copy_through_the_constructor():
     for copied in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
         assert type(copied) is GeometricContext and copied == ctx
         assert (copied.rows, copied.ped_table, copied.q_peds) == (ctx.rows, ctx.ped_table, ctx.q_peds)
+        assert (copied.cols, copied.bias, copied.vmax, copied.words.format) == (ctx.cols, ctx.bias, ctx.vmax, ctx.words.format)
         assert classify(copied, (3, 1)) == classify(ctx, (3, 1))
     lat = Lattice([[2, 1], [1, 2]], even=True)
     assert pickle.loads(pickle.dumps(lat)) == lat == Lattice(((2, 1), (1, 2))) and copy.deepcopy(lat).rank == 2
@@ -167,6 +168,65 @@ def test_derived_tables():
     # per ped D_i: (D_i, ample), (D_i, D_0), (D_i, D_1); q(D_i) on the diagonal
     assert ctx.ped_table == ((4, -4, 0), (2, 0, -2))
     assert ctx.q_peds == (-4, -2)
+    # column i packs rows[j][i] into word j; G*ample has the largest L1 norm, 8
+    assert ctx.cols[0] == sum(row[0] << 64 * j for j, row in enumerate(ctx.rows))
+    assert ctx.vmax == 2**60 and ctx.words.format == "<7q"
+
+
+# U + <-2> whose largest rows, G*W = (2, 2, 0) and (0, 0, -4), have the L1
+# norm 4: a coordinate of vmax = 2^61 pairs one of them to exactly +2^63, one
+# word past the packed form, from either side of zero
+WORD_LIMIT_CTX = GeometricContext(direct_sum(U, rank_one(-2)), (1, 1, 0), peds=[(1, 0, 1)], walls=[(2, 2, 0), (0, 0, 2)])
+
+
+@st.composite
+def packed_pairing_cases(draw):
+    """A context of rank 1 to 6 with peds and walls, some scaled so that vmax is
+    small or 0, and a class whose coordinates are small, at vmax or one inside
+    it, 2^64 or 10^1500."""
+    r = draw(st.integers(1, 6))
+    # a diagonal entry -1 or -2 makes its basis vector a ped candidate; the
+    # first is positive, so that its basis vector can be the ample class
+    upper = {(i, j): draw(st.integers(-3, 3) if i < j else st.sampled_from([-2, -1, 1, 2])) for i in range(r) for j in range(i, r)}
+    upper[0, 0] = draw(st.integers(1, 3))
+    lat = Lattice([[upper[min(i, j), max(i, j)] for j in range(r)] for i in range(r)])
+    small = st.tuples(*[st.integers(-3, 3)] * r)
+    ample = draw(small)
+    if square(lat, ample) <= 0:
+        ample = (1,) + (0,) * (r - 1)
+    basis = st.integers(0, r - 1).map(lambda i: (0,) * i + (1,) + (0,) * (r - 1 - i))
+    peds = [d if pairing(lat, ample, d) > 0 else tuple(-x for x in d) for d in draw(st.lists(st.one_of(basis, small), max_size=6))]
+    peds = [d for d in peds if all(c.passed for c in run_context_checks(lat, ample, [d]))]
+    scale = draw(st.sampled_from([1, 1, 2**20, 2**40 + 1, 2**61, 2**63]))
+    walls = [tuple(scale * x for x in w) for w in draw(st.lists(small, max_size=3))]
+    ctx = GeometricContext(lat, ample, peds, walls)
+    m = ctx.vmax
+    coordinate = st.one_of(st.integers(-3, 3), st.sampled_from([m - 1, 1 - m, m, -m, 2**64, -(10**1500)]))
+    return ctx, draw(st.tuples(*[coordinate] * r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_pairing_cases())
+@example((WORD_LIMIT_CTX, (2**61, 2**61, 0)))  # (v, G*W) = +2^63
+@example((WORD_LIMIT_CTX, (0, 0, -(2**61))))  # (v, G*W) = +2^63 from the other side
+@example((WORD_LIMIT_CTX, (2**61 - 1, 2**61 - 1, 1 - 2**61)))  # the packed path's largest pairings
+@example((WORD_LIMIT_CTX, (-1, 0, 1)))
+def test_packed_pairings_match_the_lattice(case):
+    """_pairings, packed or row by row, returns q(v), (v, ample), then (v, D)
+    for each ped and (v, W) for each wall, as lattice.pairing computes them."""
+    ctx, v = case
+    q, pa, pairs = ctx._pairings(v)
+    lat = ctx.lat
+    assert (q, pa) == (square(lat, v), pairing(lat, v, ctx.ample))
+    assert list(pairs) == [pairing(lat, v, x) for x in ctx.peds + ctx.walls]
+
+
+def test_word_limit_context_reaches_two_to_the_63():
+    ctx = WORD_LIMIT_CTX
+    assert ctx.vmax == 2**61
+    assert ctx._pairings((2**61, 2**61, 0))[2][1] == 2**63
+    assert ctx._pairings((0, 0, -(2**61)))[2][2] == 2**63
+    assert ctx._pairings((1 - 2**61, 1 - 2**61, 0))[2][1] == 4 - 2**63
 
 
 # ---------------------------------------------------------------------------

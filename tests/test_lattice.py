@@ -143,6 +143,15 @@ def test_enumerate_vectors_refuses_a_huge_bound_quickly(lat, bound):
     assert time.perf_counter() - start < 2.0
 
 
+def test_enumerate_vectors_skips_a_square_outside_the_box():
+    # |q(v)| <= B^2 * sum |g_ij| in the box, and the box reaches that bound
+    assert enumerate_vectors(rank_one(2), 50, 5) == [(-5,), (5,)]
+    assert enumerate_vectors(U_MINUS4, -6, 1) == [(-1, 1, -1), (-1, 1, 1), (1, -1, -1), (1, -1, 1)]
+    start = time.perf_counter()
+    assert enumerate_vectors(U_MINUS4, -(2**2**20), 5) == []  # 121 prefixes, none solved
+    assert time.perf_counter() - start < 2.0
+
+
 def test_enumerate_vectors_output_guard(monkeypatch):
     # a zero row solves for every x in the box: 999999^2 and 2001^2 vectors
     zero = Lattice([[0, 0], [0, 0]])

@@ -51,11 +51,15 @@ BUDGET_S = 2.0
 HUGE = 10**5000  # more digits than str() writes
 CONTEXT = json.loads(fixture_path("k3n2_rank3.json").read_text())
 
-WRONG = st.sampled_from(
-    [None, True, 1.5, float("nan"), float("inf"), "2", "x", b"2", (), [], [2], {}, {"n": 2}, Decimal("sNaN"), Fraction(1, 2), object()]
-)
 # a huge value is made by a map, since a strategy that holds it cannot be shown
 HUGE_INTS = st.sampled_from([1, -1, 2]).map(lambda k: k * HUGE if k != 2 else 2**2**20)
+WRONG = st.one_of(
+    st.sampled_from(
+        [None, True, 1.5, float("nan"), float("inf"), "2", "x", b"2", (), [], [2], {}, {"n": 2}, Decimal("sNaN"), Fraction(1, 2), object(),
+         ["7" * 5000], {"k": "9" * 5000}, b"7" * 5000]
+    ),
+    st.just(-1).map(lambda k: k * (2**2**21 - 1)),  # a multi-million-bit integer
+)
 INTS = st.one_of(st.integers(-3, 12), st.sampled_from([499, 500, 501, 2**64, -(2**64)]), HUGE_INTS, st.integers())
 COEFFICIENTS = st.one_of(
     INTS,
@@ -203,8 +207,8 @@ def test_only_typed_errors_escape_within_the_budget(call):
             repr(result)
         if hasattr(result, "to_json_dict"):
             repr(getattr(result, "rr", None)), result.to_json_dict()
-    except BasedivError:
-        pass
+    except BasedivError as exc:
+        assert len(str(exc)) < 300
     assert time.perf_counter() - start < BUDGET_S
 
 
