@@ -8,7 +8,7 @@ gcd of its coordinates), confirmed by chi: C(m+n, n) is strictly increasing
 in m.  The nef check leaves the row of pairings (H, D) over the declared
 peds, and since H - F = m*L every pairing (L, x) = ((H, x) - (F, x))/m is
 read from it and from F's row of the context's ped table, which holds
-(F, ample) and every (F, D): L is isotropic iff q(H) - 2(H, F) + q(F) = 0,
+q(F), (F, ample) and every (F, D): L is isotropic iff q(H) - 2(H, F) + q(F) = 0,
 tested first for each ped F, and membership in the declared
 birational-Kaehler closure (movability) is compared on those scalars, with
 no pairing computed.
@@ -30,7 +30,6 @@ from .cones import GeometricContext, _Record, _set
 from .errors import BasedivError, CapabilityError, ConsistencyError, DomainError, HypothesisError, require_int, show_int, show_vec
 from .lattice import (
     Vec,
-    divisibility,
     is_primitive,
     pairing,
     square,
@@ -127,7 +126,7 @@ def _classify(ctx: GeometricContext, H: Iterable[int]) -> tuple[int, int, Decomp
     matches: list[Decomposition] = []
     # H - F = m*L, so (L, x) = ((H, x) - (F, x))/m: every test reads the (H, D)
     # and F's row of the ped table (zip and map stop before the (H, W))
-    for f_vec, q_f, h_f, f_row in zip(ctx.peds, ctx.q_peds, pairings, ctx.ped_table):
+    for f_vec, (q_f, f_ample, f_row), h_f in zip(ctx.peds, ctx.ped_table, pairings):
         if q_h - 2 * h_f + q_f != 0:  # m^2 q(L)
             continue
         diff = tuple(map(sub, h_vec, f_vec))
@@ -137,7 +136,7 @@ def _classify(ctx: GeometricContext, H: Iterable[int]) -> tuple[int, int, Decomp
             continue
         # L is isotropic and nonzero, so it lies in the closure iff (L, ample) > 0
         # and (L, D) >= 0 for every declared ped D
-        if f_row[0] >= p_h or any(map(gt, f_row[1:], pairings)):
+        if f_ample >= p_h or any(map(gt, f_row, pairings)):
             continue
         # q(H) = 2md + q(F) with q(H) > 0 > q(F) and m >= 2 forces d > 0
         dec = Decomposition(m, tuple(c // m for c in diff), f_vec, (h_f - q_f) // m)
@@ -156,7 +155,10 @@ def verify_decomposition(ctx: GeometricContext, H: Iterable[int], dec: Decomposi
     """Re-validate every decomposition invariant from scratch.
 
     Deliberately reuses nothing from classify: each stated condition is
-    re-derived directly.
+    re-derived directly.  The context's constructor has proved the ped
+    invariants, and they are not re-proved: F is a declared ped, so q(F) < 0
+    and q(F) | 2*div(F); div(F) >= 1 as q(F) != 0, and div(F) divides
+    (L, F) = d > 0, so -q(F) <= 2*div(F) <= 2*d.
     """
     if ctx.dtype is None:
         return False
@@ -175,13 +177,7 @@ def verify_decomposition(ctx: GeometricContext, H: Iterable[int], dec: Decomposi
         return False
     if f_vec not in ctx.peds:
         return False
-    q_f = square(lat, f_vec)
-    if q_f >= 0:
-        return False
     if dec.d != pairing(lat, l_vec, f_vec) or dec.d <= 0:
-        return False
-    two_div = 2 * divisibility(lat, f_vec)
-    if not (-q_f <= two_div <= 2 * dec.d):
         return False
     q_h = square(lat, h_vec)
     try:

@@ -176,7 +176,7 @@ def _field_checks(checks, lat, ample, peds, walls, strong_rlf, note, note_given)
     return checks
 
 
-class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds", "cols", "bias", "vmax", "words")):
+class GeometricContext(_Record, hidden=("rows", "cols", "bias", "vmax", "words", "ped_table")):
     """Lattice + ample class + declared divisor data + hypothesis flags.
 
     Construction checks every field and raises on the first failure, so a
@@ -190,12 +190,12 @@ class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds", "cols", "
     columns into integers of one 64-bit word per row, with ``bias``, the
     coordinate bound ``vmax`` and the ``words`` that unpack them (see
     ``_pairings``); only ``_fill`` and ``_pairings`` read that layout.
-    ``ped_table`` holds per ped D_i the row ((D_i, ample), (D_i, D_0), ...,
-    (D_i, D_{k-1})), read instead of pairing again, and ``q_peds`` its
-    diagonal q(D_i), which the ped scan zips faster than it indexes.
+    ``ped_table`` holds per ped D_i its own pairing pass cut to the peds,
+    (q(D_i), (D_i, ample), ((D_i, D_0), ..., (D_i, D_{k-1}))), read instead
+    of pairing again.
     """
 
-    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "rows", "ped_table", "q_peds", "cols", "bias", "vmax", "words")
+    __slots__ = ("lat", "ample", "peds", "walls", "dtype", "strong_rlf", "note", "rows", "cols", "bias", "vmax", "words", "ped_table")
 
     def __init__(
         self,
@@ -214,16 +214,15 @@ class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds", "cols", "
         """Store fields that _field_checks has passed, and the derived tables."""
         ample, peds, walls = tuple(ample), tuple(map(tuple, peds)), tuple(map(tuple, walls))
         rows = lat.gram + tuple(gram_image(lat, v) for v in (ample,) + peds + walls)
-        ped_table = tuple(tuple(dot(d, g) for g in rows[lat.rank:lat.rank + 1 + len(peds)]) for d in peds)
-        q_peds = tuple(row[i + 1] for i, row in enumerate(ped_table))
         cols = tuple(sum(row[i] << 64 * j for j, row in enumerate(rows)) for i in range(lat.rank))
         bias = sum(1 << 64 * j + 63 for j in range(len(rows)))
         vmax = 2**63 // max(sum(map(abs, row)) for row in rows)  # G*ample is nonzero, as q(ample) > 0
         words = struct.Struct(f"<{len(rows)}q")
-        for name, value in zip(self.__slots__, (lat, ample, peds, walls, dtype, strong_rlf, note, rows, ped_table, q_peds, cols, bias, vmax, words)):
+        for name, value in zip(self.__slots__, (lat, ample, peds, walls, dtype, strong_rlf, note, rows, cols, bias, vmax, words)):
             _set(self, name, value)
+        _set(self, "ped_table", tuple((q, a, p[:len(peds)]) for q, a, p in map(self._pairings, peds)))
 
-    def _pairings(self, v: Vec) -> tuple[int, int, Sequence[int]]:
+    def _pairings(self, v: Vec) -> tuple[int, int, Vec]:
         """q(v), (v, ample) and the (v, D_i), then the (v, W_j), for a checked v, in one pass.
 
         With P_i = sum_j rows[j][i] * 2^(64j), sum_i v_i*P_i = sum_j (v, row_j) * 2^(64j).
@@ -237,7 +236,7 @@ class GeometricContext(_Record, hidden=("rows", "ped_table", "q_peds", "cols", "
             words = self.words
             pairs = words.unpack(((sum(map(mul, v, self.cols)) + self.bias) ^ self.bias).to_bytes(words.size, "little"))
         else:
-            pairs = [sum(map(mul, v, g)) for g in self.rows]
+            pairs = tuple([sum(map(mul, v, g)) for g in self.rows])
         r = self.lat.rank
         return sum(map(mul, v, pairs)), pairs[r], pairs[r + 1:]  # map stops after the r entries of G*v
 
@@ -392,9 +391,9 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
                 break
         else:
             break
-        violated, d_row = ctx.peds[i], ctx.ped_table[i]
-        a = 2 * p // ctx.q_peds[i]
-        new_height = height - a * d_row[0]  # (alpha - a*D, ample)
+        violated, (q_d, d_ample, d_row) = ctx.peds[i], ctx.ped_table[i]
+        a = 2 * p // q_d
+        new_height = height - a * d_ample  # (alpha - a*D, ample)
         if not (0 < new_height < height):
             raise ConsistencyError(
                 f"descent failed: (alpha, ample) went {show_int(height)} -> {show_int(new_height)};"
@@ -402,7 +401,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
             )
         steps.append((violated, a))
         current = tuple([c - a * x for c, x in zip(current, violated)])
-        row = [x - a * y for x, y in zip(row, d_row[1:])]  # (alpha - a*D, D_j)
+        row = [x - a * y for x, y in zip(row, d_row)]  # (alpha - a*D, D_j)
         height = new_height
     return ReflectionTrace(result=current, steps=tuple(steps))
 
@@ -412,6 +411,8 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
 
 def in_positive_cone(ctx: GeometricContext, alpha: Iterable[int], closed: bool = False) -> bool:
     """Membership in the (open or closed) positive cone on the ample side."""
+    if type(closed) is not bool:
+        raise DomainError(f"closed must be a bool, got {show_value(closed)}")
     a = ctx.lat.vector(alpha)
     qa, pa, _ = ctx._pairings(a)
     return (qa >= 0 if closed else qa > 0) and (pa > 0 or closed and not any(a))

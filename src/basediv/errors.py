@@ -5,8 +5,6 @@ malformed declared data) map to exit code 2, everything else that a
 user can trigger maps to exit code 1.
 """
 
-import sys
-
 
 class BasedivError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,18 +41,17 @@ class ConsistencyError(BasedivError):
 
 
 def show_int(x: int) -> str:
-    """str(x), or its sign and digit count when str() would refuse x for having more than
-    sys.get_int_max_str_digits() digits, so that a diagnostic can always be formatted; past
-    10**5 digits the count, read from the bit length alone, is "about" and may be one short."""
-    limit = sys.get_int_max_str_digits()
+    """str(x) for an integer of at most 80 digits, else its sign and digit count, so that a
+    diagnostic stays short; past 10**5 digits the count, read from the bit length alone, is
+    "about" and may be one short."""
     n = abs(x)
-    if not limit or n.bit_length() <= 3 * limit:  # n < 8**limit has at most limit digits
+    if n.bit_length() <= 240:  # n < 8**80 has at most 80 digits
         return str(x)
     digits = (n.bit_length() - 1) * 30102999 // 10**8 + 1  # 2**(b-1) <= n; log10(2) > 0.30102999
-    about = digits > max(limit, 10**5)  # past that, 10**digits costs more than the message
+    about = digits > 10**5  # past that, 10**digits costs more than the message
     while not about and n >= 10**digits:
         digits += 1
-    if digits <= limit:
+    if digits <= 80:
         return str(x)
     return f"{'-' if x < 0 else ''}<integer of {'about ' if about else ''}{digits} digits>"
 

@@ -252,17 +252,15 @@ def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
     """
     if isinstance(q, bool) or not isinstance(q, int):
         raise DomainError(f"q must be an integer, got {show_value(q)}")
+    if type(allow_odd) is not bool:
+        raise DomainError(f"allow_odd must be a bool, got {show_value(allow_odd)}")
     if q % 2 != 0 and not (allow_odd and t.kind == GENERIC):
         raise DomainError(f"q must be even (even-lattice convention), got {show_int(q)}")
     if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:
         raise CapabilityError(f"RR value at a q of {q.bit_length()} bits for n = {t.n} passes the limit {RR_EVAL_BITS_LIMIT} on n * bit_length(q)")
-    return _value(t.rr, q)
-
-
-def _value(rr: RRPolynomial, q: int) -> int:
-    val, rem = divmod(rr.numerator(q), rr.den)
+    val, rem = divmod(t.rr.numerator(q), t.rr.den)
     if rem:
-        raise ConsistencyError(_message(rr, q))
+        raise ConsistencyError(_message(t.rr, q))
     return val
 
 
@@ -322,9 +320,7 @@ def _first_event(rr: RRPolynomial, n: int) -> tuple[float, type | None, str | No
     event, hi = (math.inf, None, None), math.inf
     low = RRPolynomial._over([c % rr.den for c in rr.nums], rr.den)  # integral where rr is, with short numerators
     for q in range(0, 2 * n + 1, 2):
-        try:
-            _value(low, q)
-        except ConsistencyError:
+        if low.numerator(q) % rr.den:
             event, hi = (q, ConsistencyError, _message(rr, q)), q // 2 - 2
             break
     if min(rr.nums) >= 0:

@@ -60,9 +60,9 @@ MUTANTS = (
     ("content", CLASSIFIER, "if m < 2 or", "if m < 1 or", CLASSIFY_TESTS),
     ("chi", CLASSIFIER, "if m < 2 or math.comb(m + n, n) != chi:", "if m < 2:", CLASSIFY_TESTS),
     # the closure test, read from F's row of the ped table
-    ("closure-ample-half", CLASSIFIER, "if f_row[0] >= p_h or any(", "if any(", CLASSIFY_TESTS),
-    ("closure-ped-half", CLASSIFIER, "if f_row[0] >= p_h or any(map(gt, f_row[1:], pairings)):", "if f_row[0] >= p_h:", CLASSIFY_TESTS),
-    ("table-column", CLASSIFIER, "map(gt, f_row[1:], pairings)", "map(gt, f_row[:-1], pairings)", CLASSIFY_TESTS),
+    ("closure-ample-half", CLASSIFIER, "if f_ample >= p_h or any(", "if any(", CLASSIFY_TESTS),
+    ("closure-ped-half", CLASSIFIER, "if f_ample >= p_h or any(map(gt, f_row, pairings)):", "if f_ample >= p_h:", CLASSIFY_TESTS),
+    ("table-column", CLASSIFIER, "map(gt, f_row, pairings)", "map(gt, f_row[1:], pairings)", CLASSIFY_TESTS),
     ("uniqueness", CLASSIFIER, "if len(matches) > 1:", "if len(matches) > 2:", CLASSIFY_TESTS),
     # verify_decomposition's own closure test, both halves
     ("verify-closure-ample", CLASSIFIER, "pairing(lat, l_vec, ctx.ample) > 0 and all(", "all(", CLASSIFY_TESTS),
@@ -71,17 +71,17 @@ MUTANTS = (
     ("nl-chi-floor", CLASSIFIER, "if chi < 1:", "if chi < 0:", CLASSIFY_TESTS),
     ("nl-limit", CLASSIFIER, "if hi - lo + 1 > NL_TYPES_LIMIT:", "if hi - lo + 1 >= NL_TYPES_LIMIT:", CLASSIFY_TESTS),
     # the reflection walk
-    ("walk-scalar", CONES, "a = 2 * p // ctx.q_peds[i]", "a = 4 * p // ctx.q_peds[i]", WALK_TESTS),
-    ("walk-height-column", CONES, "height - a * d_row[0]", "height - a * d_row[1]", WALK_TESTS),
+    ("walk-scalar", CONES, "a = 2 * p // q_d", "a = 4 * p // q_d", WALK_TESTS),
+    ("walk-height-column", CONES, "height - a * d_ample", "height - a * d_row[0]", WALK_TESTS),
     ("walk-descent", CONES, "if not (0 < new_height < height):", "if not (new_height < height):", WALK_TESTS),
     # the walk's row: the (alpha, D) cut from the walls, updated from D's row of the ped table
     ("walk-wall-cut", CONES, "row = row[:len(ctx.peds)]", "row = row", WALK_TESTS),
-    ("walk-row-column", CONES, "zip(row, d_row[1:])", "zip(row, d_row[:-1])", WALK_TESTS),
+    ("walk-row-column", CONES, "zip(row, d_row)", "zip(row, d_row[1:])", WALK_TESTS),
     ("closure-wall-cut", CONES, "min(pairs[:len(ctx.peds)], default=0)", "min(pairs, default=0)", WALK_TESTS),
-    # the one reader of the context's rows, and q(D), the diagonal of the ped table
+    # the one reader of the context's rows, and the ped table's cut of each ped's pass to the peds
     ("pairings-ample-index", CONES, "pairs[r], pairs[r + 1:]", "pairs[r - 1], pairs[r + 1:]", WALK_TESTS),
     ("pairings-ped-start", CONES, "pairs[r], pairs[r + 1:]", "pairs[r], pairs[r:]", WALK_TESTS),
-    ("ped-table-diagonal", CONES, "row[i + 1] for i, row", "row[i] for i, row", WALK_TESTS),
+    ("table-wall-cut", CONES, "(q, a, p[:len(peds)])", "(q, a, p)", CLASSIFY_TESTS),
     # the packed pairing pass: its guard on both sides of zero, the bias bit, and the guard itself
     ("packed-upper-guard", CONES, "max(v) < vmax:", "max(v) <= vmax:", WALK_TESTS),
     ("packed-lower-guard", CONES, "-vmax < min(v)", "-vmax <= min(v)", WALK_TESTS),
@@ -90,6 +90,8 @@ MUTANTS = (
     # each constructor checks the fields it stores
     ("strong-rlf-type", CONES, "if not isinstance(strong_rlf, bool):", "if False:", WALK_TESTS),
     ("note-type", CONES, "if note_given and not isinstance(note, str):", "if False:", WALK_TESTS),
+    ("closed-type", CONES, "if type(closed) is not bool:", "if False:", WALK_TESTS),
+    ("allow-odd-type", RIEMANN_ROCH, "if type(allow_odd) is not bool:", "if False:", ("tests/test_riemann_roch.py",)),
     ("even-type", LATTICE, "if even is not None and not isinstance(even, bool):", "if False:", ("tests/test_lattice.py",)),
     # the guards and helpers below the classifier
     # the monotonicity certificate: integrality up to 2n, the tie, and the root isolation
@@ -122,9 +124,10 @@ MUTANTS = (
     ("coefficient-zero-denominator", RIEMANN_ROCH, "if den == 0:\n        return None", "if False:\n        return None", ("tests/test_riemann_roch.py",)),
     ("coefficient-implied-denominator", RIEMANN_ROCH, "int(den_text) if slash else 1", "int(den_text) if slash else 2", ("tests/test_riemann_roch.py",)),
     ("exponent-guard-underscores", RIEMANN_ROCH, '.replace("_", "").lstrip("+-0")', '.lstrip("+-0")', ("tests/test_riemann_roch.py",)),
-    ("show-int-limit", ERRORS, "n.bit_length() <= 3 * limit", "n.bit_length() <= 4 * limit", ("tests/test_context_parse.py",)),
-    ("show-int-estimate-cap", ERRORS, "about = digits > max(limit, 10**5)", "about = digits >= max(limit, 10**5)", ("tests/test_context_parse.py",)),
-    ("show-int-estimate", ERRORS, "about = digits > max(limit, 10**5)", "about = False", ("tests/test_context_parse.py",)),
+    ("show-int-limit", ERRORS, "n.bit_length() <= 240", "n.bit_length() <= 320", ("tests/test_context_parse.py",)),
+    ("show-int-digit-bound", ERRORS, "if digits <= 80:", "if digits <= 81:", ("tests/test_context_parse.py",)),
+    ("show-int-estimate-cap", ERRORS, "about = digits > 10**5", "about = digits >= 10**5", ("tests/test_context_parse.py",)),
+    ("show-int-estimate", ERRORS, "about = digits > 10**5", "about = False", ("tests/test_context_parse.py",)),
     ("show-value-string-limit", ERRORS, "len(x) > 80", "len(x) > 10**4", ("tests/test_context_parse.py",)),
     ("show-value-item-limit", ERRORS, "len(x) > 16", "len(x) >= 16", ("tests/test_context_parse.py",)),
     ("show-value-repr-limit", ERRORS, "len(text) <= 80", "len(text) < 80", ("tests/test_context_parse.py",)),

@@ -101,6 +101,15 @@ def test_declared_walls_tighten_the_nef_gate(k3_pencil):
         classify(walled, (3, 1))
 
 
+def test_walls_do_not_cut_the_closure_test(k3_pencil):
+    """(F, W) = 4 > (H, W) = 1, so (L, W) < 0: a wall gates H, never L."""
+    walled = GeometricContext(
+        k3_pencil.lat, (3, 1), peds=[(0, 1)], walls=[(2, -1)],
+        dtype=make_type(K3N, 1), strong_rlf=True,
+    )
+    assert classify(walled, (3, 1)) == classify(k3_pencil, (3, 1)) == Decomposition(3, (1, 0), (0, 1), 1)
+
+
 def test_non_primitive_isotropic_candidate_is_rejected():
     """U + <-2>: L = (H - F)/2 = (2, 2, -2) is isotropic with d = 4 and lies in
     the closure, so only its gcd 2 rejects it (without that test, m = 2)."""

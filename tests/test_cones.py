@@ -153,7 +153,7 @@ def test_contexts_compare_by_value_and_copy_through_the_constructor():
     assert ctx != GeometricContext(*PENCIL_ARGS, strong_rlf=True)
     for copied in (pickle.loads(pickle.dumps(ctx)), copy.deepcopy(ctx), copy.copy(ctx)):
         assert type(copied) is GeometricContext and copied == ctx
-        assert (copied.rows, copied.ped_table, copied.q_peds) == (ctx.rows, ctx.ped_table, ctx.q_peds)
+        assert (copied.rows, copied.ped_table) == (ctx.rows, ctx.ped_table)
         assert (copied.cols, copied.bias, copied.vmax, copied.words.format) == (ctx.cols, ctx.bias, ctx.vmax, ctx.words.format)
         assert classify(copied, (3, 1)) == classify(ctx, (3, 1))
     lat = Lattice([[2, 1], [1, 2]], even=True)
@@ -161,13 +161,17 @@ def test_contexts_compare_by_value_and_copy_through_the_constructor():
     assert lat != Lattice([[2, 1], [1, 2]], even=False) and hash(lat) == hash(Lattice([[2, 1], [1, 2]]))
 
 
+def test_a_context_without_a_deformation_type_round_trips():
+    ctx = GeometricContext(*PENCIL_ARGS[:4], strong_rlf=True)
+    data = ctx.to_json_dict()
+    assert "deformation" not in data
+    assert GeometricContext.from_json_dict(json.loads(json.dumps(data))) == ctx
+
+
 def test_derived_tables():
     ctx = GeometricContext(U_MINUS4, (3, 1, -1), peds=[(0, 0, 1), (-1, 1, 0)], walls=[(1, 0, 1)])
     # the Gram rows, then G*ample, G*D per ped and G*W per wall
     assert ctx.rows == U_MINUS4.gram + ((1, 3, 4), (0, 0, -4), (1, -1, 0), (0, 1, -4))
-    # per ped D_i: (D_i, ample), (D_i, D_0), (D_i, D_1); q(D_i) on the diagonal
-    assert ctx.ped_table == ((4, -4, 0), (2, 0, -2))
-    assert ctx.q_peds == (-4, -2)
     # column i packs rows[j][i] into word j; G*ample has the largest L1 norm, 8
     assert ctx.cols[0] == sum(row[0] << 64 * j for j, row in enumerate(ctx.rows))
     assert ctx.vmax == 2**60 and ctx.words.format == "<7q"
@@ -219,6 +223,28 @@ def test_packed_pairings_match_the_lattice(case):
     lat = ctx.lat
     assert (q, pa) == (square(lat, v), pairing(lat, v, ctx.ample))
     assert list(pairs) == [pairing(lat, v, x) for x in ctx.peds + ctx.walls]
+
+
+# U + <-2> with a wall whose G*W has the L1 norm 2^63, so vmax = 1 and both
+# peds, of coordinate 1, are paired row by row
+ROW_PATH_CTX = GeometricContext(direct_sum(U, rank_one(-2)), (1, 1, 0), peds=[(1, 0, 1), (0, 1, 1)], walls=[(2**62, 2**62, 0)])
+
+
+def test_row_path_context_pairs_its_peds_row_by_row():
+    assert ROW_PATH_CTX.vmax == 1  # so each ped, of coordinate 1, is not below it
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_pairing_cases())
+@example((ROW_PATH_CTX, (0, 0, 0)))
+@example((WORD_LIMIT_CTX, (0, 0, 0)))
+def test_ped_table_rows_are_the_peds_pairing_passes(case):
+    """Row i of the ped table is (q(D_i), (D_i, ample), ((D_i, D_j))_j), with
+    no wall pairing, whether D_i was paired packed or row by row."""
+    ctx, lat = case[0], case[0].lat
+    assert ctx.ped_table == tuple(
+        (square(lat, d), pairing(lat, d, ctx.ample), tuple(pairing(lat, d, e) for e in ctx.peds)) for d in ctx.peds
+    )
 
 
 def test_word_limit_context_reaches_two_to_the_63():
@@ -304,6 +330,12 @@ def test_positive_cone_examples():
     assert not in_positive_cone(ctx, (1, -1), closed=True)
     assert in_positive_cone(ctx, (0, 0), closed=True)
     assert not in_positive_cone(ctx, (0, 0))
+
+
+@pytest.mark.parametrize("flag", ["x", 0, None])
+def test_closed_takes_only_a_bool(flag):
+    with pytest.raises(DomainError, match="^closed must be a bool, got "):
+        in_positive_cone(GeometricContext(U, (1, 1)), (0, 0), closed=flag)
 
 
 def test_bk_closure_examples(u_walk_ctx):

@@ -120,11 +120,18 @@ def test_over_long_integer_in_a_check_detail_is_abbreviated():
 
 
 def test_show_int_abbreviates_only_past_the_digit_limit():
-    limit = sys.get_int_max_str_digits()
-    for x in (0, -7, 10 ** (limit - 1), 10**limit - 1, -(10**limit - 1)):
+    """Up to 80 digits an integer is shown whole, past them by its digit count,
+    whatever sys.get_int_max_str_digits() allows."""
+    for x in (0, -7, 2**240, -(2**241), 10**79, 10**80 - 1, -(10**80 - 1)):
         assert show_int(x) == str(x)
-    assert show_int(10**limit) == f"<integer of {limit + 1} digits>"
-    assert show_int(-(10 ** (3 * limit))) == f"-<integer of {3 * limit + 1} digits>"
+    assert show_int(10**80) == "<integer of 81 digits>"
+    assert show_int(-(10**4299)) == "-<integer of 4300 digits>"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)  # str() would write any length
+        assert show_int(10**5000) == "<integer of 5001 digits>"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_show_int_counts_a_huge_integer_from_its_bit_length():

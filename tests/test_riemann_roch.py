@@ -94,6 +94,13 @@ def test_rr_eval_parity_rules():
         rr_eval(t, 3, allow_odd=True)
 
 
+@pytest.mark.parametrize("flag", ["no", 1, None])
+def test_allow_odd_takes_only_a_bool(flag):
+    """A truthy non-bool no longer opens the escape hatch."""
+    with pytest.raises(DomainError, match="^allow_odd must be a bool, got "):
+        rr_eval(make_type(GENERIC, 1, coeffs=[1, 1]), 3, allow_odd=flag)
+
+
 def test_rr_eval_refuses_values_past_the_bit_limit():
     """n * q.bit_length() may reach RR_EVAL_BITS_LIMIT but not pass it."""
     t = make_type(K3N, 2)

@@ -198,6 +198,10 @@ def evaluation_calls(draw):
 @example(call=(nl_numerical_types, (make_type(K3N, 3), HUGE), {}))
 @example(call=(reflect_into_bk, (FIXTURE, (HUGE, HUGE, 1)), {}))
 @example(call=(rr_eval, (make_type(K3N, 1), [HUGE]), {}))
+# integers of 81 to 4,300 digits in a message: a gcd of 2^5000, an odd q, a pairing
+@example(call=(GeometricContext.from_json_dict, (dict(CONTEXT, peds=[[0, HUGE, 2**2**20]]),), {}))
+@example(call=(rr_eval, (make_type(K3N, 1), 10**1000 + 1), {}))
+@example(call=(classify, (FIXTURE, (-(10**1000), 1, 0)), {}))
 def test_only_typed_errors_escape_within_the_budget(call):
     fn, args, kwargs = call
     start = time.perf_counter()
