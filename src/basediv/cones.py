@@ -37,11 +37,9 @@ from .lattice import (
     _Record,
     _set,
     as_array,
-    divisibility,
     dot,
     enumerate_vectors,
     gram_image,
-    square,
 )
 from .riemann_roch import DeformationType, deformation_from_json_dict
 
@@ -149,7 +147,7 @@ def run_context_checks(
     h = _attempt(checks, "ample-shape", lambda: lat.vector(as_array(ample, "ample")))
     if h is None:
         return checks
-    qh = square(lat, h)
+    qh = dot(h, gram_image(lat, h))
     checks.append(
         ContextCheck(
             "ample-positive-square",
@@ -365,9 +363,11 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     step the first declared ped with (alpha_i, D) < 0 is used (first in list
     order, for reproducible traces).  (alpha_i, ample) strictly decreases
     through positive integers, which bounds the number of steps by the
-    initial pairing; any violation of that descent means the declared data
-    is inconsistent and raises ConsistencyError.  alpha is paired once: a step by a*D lowers the height
-    by a*(D, ample) and each (alpha_i, D_j) by a*(D, D_j), read from D's row of the context's ped table.
+    initial pairing: a = 2(alpha_i, D) // q(D) is exact (see below) and >= 1, both factors being
+    negative, and the context checked (D, ample) >= 1.  A height that falls to 0 or below means
+    the declared data is inconsistent (the lattice is not hyperbolic) and raises ConsistencyError.
+    alpha is paired once: a step by a*D lowers the height by a*(D, ample) and each (alpha_i, D_j)
+    by a*(D, D_j), read from D's row of the context's ped table.
 
     The result is in the declared BK closure with no check on exit: each step
     subtracts a*D with a = 2(alpha_i, D)/q(D) an integer, since the context
@@ -394,7 +394,7 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
         violated, (q_d, d_ample, d_row) = ctx.peds[i], ctx.ped_table[i]
         a = 2 * p // q_d
         new_height = height - a * d_ample  # (alpha - a*D, ample)
-        if not (0 < new_height < height):
+        if new_height <= 0:
             raise ConsistencyError(
                 f"descent failed: (alpha, ample) went {show_int(height)} -> {show_int(new_height)};"
                 " the declared context data is inconsistent"
@@ -439,10 +439,11 @@ def ped_inequality_check(lat: Lattice, d: Iterable[int]) -> bool:
     dv = lat.vector(d)
     if not any(dv):
         raise DomainError("the zero vector cannot be a prime-exceptional class")
-    qd = square(lat, dv)
+    g = gram_image(lat, dv)  # q(d) and div(d) both read G*d
+    qd = dot(dv, g)
     if qd >= 0:
         raise DomainError(f"prime-exceptional candidates need q < 0; q({show_vec(dv)}) = {show_int(qd)}")
-    return _divisibility_holds(qd, divisibility(lat, dv))
+    return _divisibility_holds(qd, math.gcd(*g))
 
 
 def rank2_exceptional_scan(bound: int) -> list[Vec]:

@@ -23,6 +23,7 @@ context with such coefficients, Generic or not, never imports ``fractions``,
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 
@@ -132,8 +133,8 @@ class DeformationType(_Record, hidden=("_verdict",)):
     """A kind tag, the half-dimension n, the RR polynomial and its verdict.
 
     Construction decides what a type may hold: a K3n or Kumn type holds only
-    its family's closed form, as the registry expands it, and any other ``rr``
-    raises DomainError.  The Fujiki constant is (2n)! * b_n, read from the
+    its family's closed form, as ``_closed_form`` expands it, and any other
+    ``rr`` raises DomainError.  The Fujiki constant is (2n)! * b_n, read from the
     leading coefficient of ``rr``.  ``_verdict`` is the monotonicity verdict
     for the whole even grid, fixed here: the first event of ``_first_event``
     or its refusal for a Generic type, and (inf, None, None) for K3^[n] and
@@ -154,12 +155,9 @@ class DeformationType(_Record, hidden=("_verdict",)):
         if rr.degree != n:
             raise DomainError(f"RR polynomial must have degree exactly n={show_int(n)}, got degree {rr.degree}")
         _check_degree(n, 0)
-        if kind == GENERIC:
-            self._fill(kind, n, rr, _first_event(rr, n))
-        else:
-            self._fill(kind, n, rr, _type_of(kind, n, rr)._verdict)
-
-    def _fill(self, kind: str, n: int, rr: RRPolynomial, verdict: tuple) -> None:
+        if kind != GENERIC and rr != _closed_form(kind, n):
+            raise DomainError(f"{kind} carries a closed-form RR polynomial; explicit coefficients must equal it")
+        verdict = _first_event(rr, n) if kind == GENERIC else (math.inf, None, None)
         for name, value in zip(self.__slots__, (kind, n, rr, verdict)):
             _set(self, name, value)
 
@@ -186,9 +184,6 @@ def _half_q_binomial(shift: int, n: int) -> list[int]:
     return poly
 
 
-_registry: dict[tuple[str, int], DeformationType] = {}
-
-
 def _check_degree(n: int, count: int) -> None:
     degree = max(n, count - 1)
     if degree > HALF_DIM_LIMIT:
@@ -196,7 +191,7 @@ def _check_degree(n: int, count: int) -> None:
 
 
 def make_type(kind: str, n: int, coeffs: Sequence | None = None) -> DeformationType:
-    """Build (or fetch) a deformation type with its RR polynomial.
+    """Build a deformation type with its RR polynomial.
 
     K3n requires n >= 1 and Kumn requires n >= 2; Kum^1 is rejected because
     the closed form at n=1 disagrees with the K3 surface polynomial, so a
@@ -204,10 +199,10 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None) -> DeformationT
     Generic takes explicit coefficients b_0..b_n with b_n > 0, in a list or
     tuple: ints, strings that Fraction(str) reads (digits a or a/b are read
     without it), or values that Fraction(c) reads; any other coefficient
-    raises DomainError.  K3n and Kumn give the registered instance, and take
-    coefficients only when they equal its closed form.  Degrees above HALF_DIM_LIMIT, and a string or Decimal with
-    a decimal exponent of more than four digits, raise CapabilityError
-    before anything is expanded.
+    raises DomainError.  K3n and Kumn take coefficients only when they equal
+    the family's closed form, and give an equal type either way.  Degrees
+    above HALF_DIM_LIMIT, and a string or Decimal with a decimal exponent of
+    more than four digits, raise CapabilityError before anything is expanded.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown deformation kind {show_value(kind)}")
@@ -215,32 +210,23 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None) -> DeformationT
     _check_degree(n, len(coeffs) if isinstance(coeffs, (list, tuple)) else 0)
     if kind == GENERIC and coeffs is None:
         raise DomainError("Generic deformation type needs explicit RR coefficients")
-    return _type_of(kind, n, None if coeffs is None else RRPolynomial(coeffs))
+    closed = kind != GENERIC and _closed_form(kind, n)
+    return DeformationType(kind, n, closed if coeffs is None else RRPolynomial(coeffs))
 
 
-def _type_of(kind: str, n: int, rr: RRPolynomial | None) -> DeformationType:
-    """The Generic type of rr, or the registered type of (kind, n), expanded
-    from its closed form into _registry on first use; rr, if given, must be
-    its polynomial.  n is an int within HALF_DIM_LIMIT."""
-    if kind == GENERIC:
-        return DeformationType(kind, n, rr)
-    t = _registry.get((kind, n))
-    if t is None:
-        if kind == K3N:
-            if n < 1:
-                raise DomainError("K3n requires n >= 1")
-            shift, factor = n + 1, 1
-        else:
-            if n < 2:
-                raise DomainError("Kumn requires n >= 2 (Kum^1 is not a registered type)")
-            shift, factor = n, n + 1
-        closed = RRPolynomial._over([factor * c for c in _half_q_binomial(shift, n)], 2**n * math.factorial(n))
-        t = DeformationType.__new__(DeformationType)
-        t._fill(kind, n, closed, (math.inf, None, None))
-        _registry[kind, n] = t
-    if rr is not None and rr != t.rr:
-        raise DomainError(f"{kind} carries a closed-form RR polynomial; explicit coefficients must equal it")
-    return t
+@functools.lru_cache(maxsize=None)
+def _closed_form(kind: str, n: int) -> RRPolynomial:
+    """The closed form of K3n or Kumn at an int n <= HALF_DIM_LIMIT, expanded once
+    per (kind, n): at most 2 * HALF_DIM_LIMIT entries, as a refused n is not kept."""
+    if kind == K3N:
+        if n < 1:
+            raise DomainError("K3n requires n >= 1")
+        shift, factor = n + 1, 1
+    else:
+        if n < 2:
+            raise DomainError("Kumn requires n >= 2 (Kum^1 is not a registered type)")
+        shift, factor = n, n + 1
+    return RRPolynomial._over([factor * c for c in _half_q_binomial(shift, n)], 2**n * math.factorial(n))
 
 
 def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
@@ -250,8 +236,7 @@ def rr_eval(t: DeformationType, q: int, *, allow_odd: bool = False) -> int:
     allow_odd escape hatch applies to Generic types only.  A q whose value
     would pass RR_EVAL_BITS_LIMIT bits raises CapabilityError.
     """
-    if isinstance(q, bool) or not isinstance(q, int):
-        raise DomainError(f"q must be an integer, got {show_value(q)}")
+    require_int("q", q)
     if type(allow_odd) is not bool:
         raise DomainError(f"allow_odd must be a bool, got {show_value(allow_odd)}")
     if q % 2 != 0 and not (allow_odd and t.kind == GENERIC):
@@ -426,7 +411,7 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
     coeffs = as_array(coeffs, "deformation.coeffs")
     pairs = [_json_coefficient(c, f"deformation.coeffs[{i}]") for i, c in enumerate(coeffs)]
     _check_degree(n, len(pairs))
-    return _type_of(kind, n, RRPolynomial._over(*_over_lcm(pairs)))
+    return DeformationType(kind, n, RRPolynomial._over(*_over_lcm(pairs)))
 
 
 def _json_coefficient(c, path: str) -> tuple[int, int]:

@@ -31,6 +31,15 @@ from basediv import riemann_roch
 from basediv.riemann_roch import HALF_DIM_LIMIT, RR_EVAL_BITS_LIMIT, _first_event, _root_bound, _step
 
 
+# (kind, n) pairs of the closed-form families, the half-dimension limit included
+REGISTERED = [(K3N, 1), (K3N, 2), (KUMN, 2), (KUMN, 3), (K3N, 7), (KUMN, 7), (K3N, HALF_DIM_LIMIT), (KUMN, HALF_DIM_LIMIT)]
+
+
+def assert_equal_types(a, b) -> None:
+    """Types compare by value: equal fields, equal hash and the same verdict."""
+    assert type(a) is DeformationType and a == b and hash(a) == hash(b) and a._verdict == b._verdict
+
+
 def binom_product(top: int, n: int) -> int:
     """Independent generalized binomial: explicit product over n terms."""
     num = 1
@@ -451,14 +460,33 @@ def test_registered_kinds_hold_only_their_closed_form(kind, n, coeffs, message):
 
 def test_closed_form_coefficients_give_the_registered_instance():
     t = make_type(K3N, 2)
-    assert make_type(K3N, 2, coeffs=["3", "5/4", Fraction(1, 8)]) is t
-    assert make_type(KUMN, 3, coeffs=list(make_type(KUMN, 3).rr.coeffs)) is make_type(KUMN, 3)
-    other = DeformationType(K3N, 2, RRPolynomial([3, Fraction(5, 4), Fraction(1, 8)]))
-    assert other is not t and (other.kind, other.n, other.rr, other._verdict) == (t.kind, t.n, t.rr, t._verdict)
-    for n in (2, 7, HALF_DIM_LIMIT):
-        make_type(K3N, n), make_type(KUMN, n)
-    for t in list(riemann_roch._registry.values()):  # every registered type
-        assert deformation_from_json_dict(t.to_json_dict()) is t
+    assert_equal_types(make_type(K3N, 2, coeffs=["3", "5/4", Fraction(1, 8)]), t)
+    assert_equal_types(make_type(KUMN, 3, coeffs=list(make_type(KUMN, 3).rr.coeffs)), make_type(KUMN, 3))
+    assert_equal_types(DeformationType(K3N, 2, RRPolynomial([3, Fraction(5, 4), Fraction(1, 8)])), t)
+    for kind, n in REGISTERED:
+        t = make_type(kind, n)
+        assert_equal_types(deformation_from_json_dict(t.to_json_dict()), t)
+
+
+@pytest.mark.parametrize("kind, n, coeffs", [(kind, n, None) for kind, n in REGISTERED[:4]] + [(GENERIC, 2, [3, -4, 1]), (GENERIC, 1, ["1/3", 1])])
+def test_every_path_builds_an_equal_type(kind, n, coeffs):
+    t = make_type(kind, n, coeffs)
+    built = [
+        DeformationType(kind, n, t.rr),
+        make_type(kind, n, list(t.rr.coeffs)),
+        deformation_from_json_dict(t.to_json_dict()),
+        pickle.loads(pickle.dumps(t)),
+        copy.deepcopy(t),
+    ]
+    for other in built:
+        assert_equal_types(other, t)
+
+
+def test_a_repeated_closed_form_is_not_expanded_again():
+    make_type(K3N, HALF_DIM_LIMIT)  # expands the closed form; the repeat only compares it
+    start = time.perf_counter()
+    make_type(K3N, HALF_DIM_LIMIT)
+    assert time.perf_counter() - start < 0.005
 
 
 def test_coefficients_on_a_registered_kind_are_read_after_the_kind_and_n():
@@ -466,6 +494,10 @@ def test_coefficients_on_a_registered_kind_are_read_after_the_kind_and_n():
         deformation_from_json_dict({"kind": "OG6", "n": 2, "coeffs": "junk"})
     with pytest.raises(DomainError, match="^K3n requires n >= 1$"):
         deformation_from_json_dict({"kind": K3N, "n": 0, "coeffs": "junk"})
+    with pytest.raises(DomainError, match="^K3n requires n >= 1$"):
+        make_type(K3N, 0, coeffs=[1])
+    with pytest.raises(DomainError, match=r"^Kumn requires n >= 2 \(Kum\^1 is not a registered type\)$"):
+        make_type(KUMN, 1, coeffs=[1])
     with pytest.raises(StructuralError, match="^deformation.coeffs must be an array, got 'junk'$"):
         deformation_from_json_dict({"kind": K3N, "n": 2, "coeffs": "junk"})
     with pytest.raises(StructuralError, match=r"^deformation.coeffs\[1\] must be a rational number"):
@@ -538,8 +570,8 @@ def test_json_round_trip():
     t = make_type(K3N, 2)
     data = t.to_json_dict()
     assert data == {"kind": "K3n", "n": 2, "coeffs": ["3", "5/4", "1/8"]}
-    assert deformation_from_json_dict(data) is t  # the registered instance
-    assert deformation_from_json_dict({"kind": "K3n", "n": 2}) is t
+    assert_equal_types(deformation_from_json_dict(data), t)
+    assert_equal_types(deformation_from_json_dict({"kind": "K3n", "n": 2}), t)
     g = deformation_from_json_dict({"kind": "Generic", "n": 1, "coeffs": ["2", "1/2"]})
     assert rr_eval(g, 2) == 3
     with pytest.raises(Exception):
