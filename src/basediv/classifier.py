@@ -233,10 +233,8 @@ def nl_numerical_types(dtype: DeformationType, q_h: int) -> list[NumericalNLType
     Kum^n the list is empty.  No lattice embeddings or moduli data are
     produced, only the numbers.
     """
-    require_int("q_h", q_h)
-    if q_h <= 0 or q_h % 2 != 0:
-        raise DomainError(f"q_h must be a positive even integer, got {show_int(q_h)}")
-    chi = rr_eval(dtype, q_h)
+    require_int("q_h", q_h, 1)
+    chi = rr_eval(dtype, q_h)  # refuses an odd q_h
     if chi < 1:
         return []
     m = invert_binomial(chi, dtype.n)

@@ -46,6 +46,16 @@ from .riemann_roch import DeformationType, deformation_from_json_dict
 # rank2_exceptional_scan refuses bounds beyond this, as the box sweep it replaced did.
 RANK2_SCAN_BOUND_LIMIT = 500
 
+# reflect_into_bk refuses a walk of more steps than this: nothing else bounds the
+# step count but the initial height, and 10**5 steps take 0.55 s and 34 MiB (2-vCPU Xeon).
+WALK_STEP_LIMIT = 10**5
+
+# run_context_checks refuses a context over these sizes before any per-item check:
+# the packed pairing columns cost about rank * (rank + peds + walls)^2 and the ped
+# table holds peds^2 integers; rank 64 with 1,000 peds takes 0.8 s and 24 MiB.
+CONTEXT_RANK_LIMIT = 64
+CONTEXT_CLASS_LIMIT = 1000  # peds plus walls
+
 
 class ContextCheck(_Record, hidden=("error",)):
     """One validated context invariant: name, outcome, human-readable detail,
@@ -142,7 +152,7 @@ def run_context_checks(
     walls: Sequence[Sequence[int]] = (),
 ) -> list[ContextCheck]:
     """Run every declared-data invariant, collecting per-item pass/fail;
-    a malformed ample class ends the report."""
+    a malformed ample class, or a context over the size limits, ends the report."""
     checks: list[ContextCheck] = []
     h = _attempt(checks, "ample-shape", lambda: lat.vector(as_array(ample, "ample")))
     if h is None:
@@ -155,6 +165,11 @@ def run_context_checks(
             f"q(ample) = {show_int(qh)}" + ("" if qh > 0 else " but the ample class must have q > 0"),
         )
     )
+    count = sum(len(x) for x in (peds, walls) if isinstance(x, (list, tuple)))
+    if lat.rank > CONTEXT_RANK_LIMIT or count > CONTEXT_CLASS_LIMIT:
+        limits = f"rank <= {CONTEXT_RANK_LIMIT}, peds plus walls <= {CONTEXT_CLASS_LIMIT}"
+        _fail(checks, "context-size", CapabilityError(f"a context of rank {lat.rank} with {count} peds and walls exceeds the limits: {limits}"))
+        return checks
     for i, raw in enumerate(_attempt(checks, "peds", lambda: as_array(peds, "peds")) or ()):
         d = _attempt(checks, f"ped[{i}]-shape", lambda: lat.vector(as_array(raw, f"peds[{i}]")))
         if d is not None:
@@ -364,7 +379,8 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     order, for reproducible traces).  (alpha_i, ample) strictly decreases
     through positive integers, which bounds the number of steps by the
     initial pairing: a = 2(alpha_i, D) // q(D) is exact (see below) and >= 1, both factors being
-    negative, and the context checked (D, ample) >= 1.  A height that falls to 0 or below means
+    negative, and the context checked (D, ample) >= 1.  A walk of more than WALK_STEP_LIMIT
+    steps raises CapabilityError.  A height that falls to 0 or below means
     the declared data is inconsistent (the lattice is not hyperbolic) and raises ConsistencyError.
     alpha is paired once: a step by a*D lowers the height by a*(D, ample) and each (alpha_i, D_j)
     by a*(D, D_j), read from D's row of the context's ped table.
@@ -391,6 +407,8 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
                 break
         else:
             break
+        if len(steps) >= WALK_STEP_LIMIT:
+            raise CapabilityError(f"the reflection walk needs more than {WALK_STEP_LIMIT} steps")
         violated, (q_d, d_ample, d_row) = ctx.peds[i], ctx.ped_table[i]
         a = 2 * p // q_d
         new_height = height - a * d_ample  # (alpha - a*D, ample)
@@ -456,9 +474,7 @@ def rank2_exceptional_scan(bound: int) -> list[Vec]:
     inequality -ab <= g reads g*(-a'*b') <= 1 with -a'*b' >= 1, so g = 1 and
     a'*b' = -1.  oracle.oracle_rank2_scan is the sweep of the box.
     """
-    require_int("bound", bound)
-    if bound < 1:
-        raise DomainError("bound must be >= 1")
+    require_int("bound", bound, 1)
     if bound > RANK2_SCAN_BOUND_LIMIT:
         raise CapabilityError(f"rank-2 scan bound {show_int(bound)} exceeds the limit {RANK2_SCAN_BOUND_LIMIT}")
     return [(-1, 1), (1, -1)]

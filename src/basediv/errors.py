@@ -82,7 +82,9 @@ def show_value(x) -> str:
     return text if len(text) <= 80 else f"{text[:20]}... ({len(text)} characters)"
 
 
-def require_int(name: str, x) -> None:
-    """DomainError unless x is an int; a bool is refused too."""
+def require_int(name: str, x, low: int | None = None) -> None:
+    """DomainError unless x is an int, a bool refused too, and at least low when low is given."""
     if isinstance(x, bool) or not isinstance(x, int):
         raise DomainError(f"{name} must be an integer, got {show_value(x)}")
+    if low is not None and x < low:
+        raise DomainError(f"{name} must be >= {low}")

@@ -238,8 +238,7 @@ def enumerate_vectors(lat: Lattice, square_value: int, coeff_bound: int) -> list
             f"box enumeration is limited to rank <= {ENUM_RANK_LIMIT}, got rank {lat.rank}"
         )
     require_int("square_value", square_value)
-    if isinstance(coeff_bound, bool) or not isinstance(coeff_bound, int) or coeff_bound < 1:
-        raise DomainError("coeff_bound must be an integer >= 1")
+    require_int("coeff_bound", coeff_bound, 1)
     prefixes = (2 * min(coeff_bound, ENUM_PREFIX_LIMIT) + 1) ** max(lat.rank - 1, 1)  # short, from a capped bound
     if prefixes > ENUM_PREFIX_LIMIT:
         raise CapabilityError(

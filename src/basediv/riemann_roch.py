@@ -150,8 +150,7 @@ class DeformationType(_Record, hidden=("_verdict",)):
     def __init__(self, kind: str, n: int, rr: RRPolynomial):
         if kind not in _KINDS:
             raise DomainError(f"unknown deformation kind {show_value(kind)}")
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise DomainError("half-dimension n must be a positive integer")
+        require_int("n", n, 1)
         if rr.degree != n:
             raise DomainError(f"RR polynomial must have degree exactly n={show_int(n)}, got degree {rr.degree}")
         _check_degree(n, 0)
@@ -342,9 +341,7 @@ def check_strict_monotonic(t: DeformationType, q_max: int) -> bool:
     ConsistencyError, and a refusal (a Generic step whose isolation passed
     MONO_WORK_LIMIT) raises CapabilityError at any q_max.  Nothing is computed.
     """
-    require_int("q_max", q_max)
-    if q_max < 0:
-        raise DomainError("q_max must be nonnegative")
+    require_int("q_max", q_max, 0)
     q, error, message = t._verdict
     if q <= q_max and error is not None:
         raise error(message)
@@ -360,10 +357,8 @@ def invert_binomial(value: int, n: int) -> int | None:
     bisection finds it.  An n over HALF_DIM_LIMIT, or a value of more bits than
     RR_EVAL_BITS_LIMIT (0.5 s at the limit), raises CapabilityError.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DomainError("n must be a positive integer")
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise DomainError("value must be a positive integer")
+    require_int("n", n, 1)
+    require_int("value", value, 1)
     _check_degree(n, 0)
     if value.bit_length() > RR_EVAL_BITS_LIMIT:
         raise CapabilityError(f"binomial inversion of a value of {value.bit_length()} bits passes the limit of {RR_EVAL_BITS_LIMIT} bits")
@@ -409,8 +404,8 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
     elif coeffs is None:
         raise StructuralError('Generic deformation JSON needs a "coeffs" array')
     coeffs = as_array(coeffs, "deformation.coeffs")
+    _check_degree(n, len(coeffs))
     pairs = [_json_coefficient(c, f"deformation.coeffs[{i}]") for i, c in enumerate(coeffs)]
-    _check_degree(n, len(pairs))
     return DeformationType(kind, n, RRPolynomial._over(*_over_lcm(pairs)))
 
 

@@ -645,6 +645,9 @@ def test_nl_types_preconditions():
     t = make_type(K3N, 2)
     with pytest.raises(DomainError):
         nl_numerical_types(t, 3)
+    # rr_eval's parity rule refuses an odd q(H) on every kind, a Generic one included
+    with pytest.raises(DomainError, match=r"^q must be even \(even-lattice convention\), got 3$"):
+        nl_numerical_types(make_type(GENERIC, 1, coeffs=[2, 1]), 3)
     with pytest.raises(DomainError):
         nl_numerical_types(t, 0)
     with pytest.raises(DomainError):

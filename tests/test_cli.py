@@ -268,6 +268,15 @@ def test_validate_context_structural_failure_is_exit_two(capsys, tmp_path):
     assert "context invalid" in out
 
 
+def test_validate_context_refuses_an_oversized_context_with_exit_one(capsys, tmp_path):
+    path = _with(tmp_path, lambda d: d.update(walls=[[1, 0]] * 1000))  # 1,001 peds and walls
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, "validate-context", "--input", path, "--format", fmt)
+        assert code == 1 and "context-size" in out and "exceeds the limits" in out
+    code, _, err = run(capsys, "classify", "--input", path, "--class", "3,1")
+    assert code == 1 and err.startswith("error:") and "exceeds the limits" in err
+
+
 def test_package_runs_as_a_module():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(

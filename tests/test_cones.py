@@ -3,11 +3,13 @@ import itertools
 import json
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from basediv import (
+    CapabilityError,
     ConsistencyError,
     DomainError,
     GeometricContext,
@@ -33,6 +35,7 @@ from basediv import (
     square,
     validate_context_payload,
 )
+from basediv.cones import CONTEXT_CLASS_LIMIT, CONTEXT_RANK_LIMIT, WALK_STEP_LIMIT
 from basediv.oracle import oracle_rank2_scan
 
 U = hyperbolic_plane()
@@ -93,6 +96,43 @@ def test_validate_payload_accepts_good_context():
     assert ctx is not None
     assert all(c.passed for c in checks)
     assert ctx.to_json_dict()["peds"] == [[0, 1]]
+
+
+def sized_payload(rank, n_peds, n_walls):
+    """U + <-2>^(rank - 2) with basis e, f, c_i, the ample class e + f, the peds a*f - c_i
+    (q = -2, (ample, D) = a, a = 1, 2, ...) and the walls e."""
+    gram = [[-2 * (i == j >= 2) + (i + j == 1) for j in range(rank)] for i in range(rank)]
+    peds = [[0, 1 + k // (rank - 2)] + [-(i == k % (rank - 2)) for i in range(rank - 2)] for k in range(n_peds)]
+    return {"lattice": {"gram": gram}, "ample": [1, 1] + [0] * (rank - 2), "peds": peds, "walls": [[1] + [0] * (rank - 1)] * n_walls}
+
+
+def test_context_at_the_size_limits_is_accepted():
+    data = sized_payload(CONTEXT_RANK_LIMIT, CONTEXT_CLASS_LIMIT - 100, 100)
+    ctx, checks = validate_context_payload(data)
+    assert ctx is not None and all(c.passed for c in checks)
+    assert ctx.lat.rank == CONTEXT_RANK_LIMIT and len(ctx.peds) + len(ctx.walls) == CONTEXT_CLASS_LIMIT
+
+
+@pytest.mark.parametrize("rank, n_peds, n_walls", [(CONTEXT_RANK_LIMIT + 1, 1, 0), (4, CONTEXT_CLASS_LIMIT + 1, 0), (4, 500, 501)])
+def test_context_over_the_size_limits_is_refused_before_any_item(rank, n_peds, n_walls):
+    data = sized_payload(rank, n_peds, n_walls)
+    message = f"^a context of rank {rank} with {n_peds + n_walls} peds and walls exceeds the limits: rank <= {CONTEXT_RANK_LIMIT}, peds plus walls <= {CONTEXT_CLASS_LIMIT}$"
+    ctx, checks = validate_context_payload(data)
+    assert ctx is None
+    assert [c.name for c in checks if not c.passed] == ["context-size"]
+    assert not any(c.name.startswith(("ped[", "wall[")) for c in checks)
+    with pytest.raises(CapabilityError, match=message):
+        GeometricContext.from_json_dict(data)
+    with pytest.raises(CapabilityError, match=message):
+        GeometricContext(Lattice(data["lattice"]["gram"]), data["ample"], data["peds"], data["walls"])
+
+
+def test_a_million_peds_are_refused_at_once():
+    data = dict(sized_payload(3, 1, 0), peds=[[0, 1, -1]] * 10**6)
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError, match="with 1000000 peds and walls"):
+        GeometricContext.from_json_dict(data)
+    assert time.perf_counter() - start < 0.1
 
 
 PENCIL_ARGS = (Lattice([[0, 1], [1, -2]]), (3, 1), [(0, 1)], (), make_type(K3N, 1))
@@ -422,6 +462,25 @@ def test_walk_step_count_bounded_by_initial_height():
     for alpha in [(0, 1), (1, 3), (2, 5)]:
         trace = reflect_into_bk(ctx, alpha)
         assert len(trace.steps) <= pairing(U, alpha, ctx.ample)
+
+
+# U + <-2> with basis e, f, c: (1, k^2, k) reflects in c to (1, k^2, -k), then in f - c
+# to (1, (k - 1)^2, k - 1), so it walks 2k steps to e, and (1, k^2, -k) walks 2k - 1
+LONG_WALK_CTX = GeometricContext(direct_sum(hyperbolic_plane(), rank_one(-2)), (3, 2, -1), peds=[(0, 0, 1), (0, 1, -1)])
+
+
+def test_walk_of_the_step_limit_is_taken():
+    k = WALK_STEP_LIMIT // 2
+    trace = reflect_into_bk(LONG_WALK_CTX, (1, k * k, k))
+    assert len(trace.steps) == WALK_STEP_LIMIT
+    assert trace.result == (1, 0, 0) and trace.reconstruction() == (1, k * k, k)
+
+
+@pytest.mark.parametrize("sign", [-1, 1], ids=["limit-plus-one", "limit-plus-two"])
+def test_walk_past_the_step_limit_is_refused(sign):
+    k = WALK_STEP_LIMIT // 2 + 1
+    with pytest.raises(CapabilityError, match=f"^the reflection walk needs more than {WALK_STEP_LIMIT} steps$"):
+        reflect_into_bk(LONG_WALK_CTX, (1, k * k, sign * k))
 
 
 def test_walk_reports_broken_descent_on_non_hyperbolic_lattice():

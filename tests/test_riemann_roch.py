@@ -504,6 +504,15 @@ def test_coefficients_on_a_registered_kind_are_read_after_the_kind_and_n():
         deformation_from_json_dict({"kind": KUMN, "n": 2, "coeffs": ["3", "x", "9/8"]})
 
 
+def test_the_json_reader_counts_coefficients_before_reading_them():
+    """A list over the degree limit is refused as make_type refuses it, before any entry is read."""
+    for coeffs in (["x"] + [1] * (HALF_DIM_LIMIT + 1), [1] * 10**6):
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match=f"^RR polynomial of degree {len(coeffs) - 1} exceeds the half-dimension limit"):
+            deformation_from_json_dict({"kind": GENERIC, "n": 1, "coeffs": coeffs})
+        assert time.perf_counter() - start < 0.1
+
+
 def test_types_are_immutable_and_pickle_by_value():
     types = [make_type(K3N, 3), make_type(GENERIC, 2, coeffs=[3, -4, 1]), make_type(GENERIC, 1, coeffs=[Fraction(1, 3), 1])]
     for t in types:

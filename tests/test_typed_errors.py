@@ -39,6 +39,7 @@ from basediv import (
     invert_binomial,
     make_type,
     nl_numerical_types,
+    rank2_exceptional_scan,
     rank_one,
     reflect_into_bk,
     rr_eval,
@@ -231,6 +232,34 @@ def test_only_typed_errors_escape_within_the_budget(call):
 def test_wrongly_typed_value_arguments_are_domain_errors(fn, args, match):
     with pytest.raises(DomainError, match=match):
         fn(*args)
+
+
+# every integer argument with a lower bound, as (name, lower bound, call on it); errors.require_int
+# states the rule for each
+BOUNDED_INTS = [
+    ("coeff_bound", 1, lambda x: enumerate_vectors(Lattice([[2]]), 2, x)),
+    ("n", 1, lambda x: DeformationType(GENERIC, x, RRPolynomial([1, 1]))),
+    ("n", 1, lambda x: invert_binomial(3, x)),
+    ("value", 1, lambda x: invert_binomial(x, 2)),
+    ("q_max", 0, lambda x: check_strict_monotonic(make_type(K3N, 2), x)),
+    ("bound", 1, lambda x: rank2_exceptional_scan(x)),
+    ("q_h", 1, lambda x: nl_numerical_types(make_type(K3N, 2), x)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, low, call",
+    BOUNDED_INTS,
+    ids=["enumerate-bound", "deformation-type-n", "invert-binomial-n", "invert-binomial-value", "monotonic-q-max", "rank2-bound", "nl-types-q-h"],
+)
+def test_bounded_integer_arguments_follow_one_rule(name, low, call):
+    for x, message in ((True, f"{name} must be an integer, got True"), ("1", f"{name} must be an integer, got '1'"), (low - 1, f"{name} must be >= {low}")):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            call(x)
+    try:
+        call(low)  # the bound itself passes the rule
+    except DomainError as exc:  # q_h = 1 is then refused by rr_eval, as every odd q is
+        assert str(exc) == "q must be even (even-lattice convention), got 1"
 
 
 def test_a_vector_that_is_not_a_sequence_is_a_structural_error():
