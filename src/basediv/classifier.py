@@ -108,13 +108,13 @@ def _classify(ctx: GeometricContext, H: Iterable[int]) -> tuple[int, int, Decomp
             "context does not certify the Lagrangian-fibration hypothesis (strong_rlf);"
             " refusing to classify rather than guess"
         )
-    q_h, p_h, pairings = ctx._pairings(h_vec)  # the (H, D_i), then the (H, W_j)
+    q_h, p_h, h_peds, h_walls = ctx._pairings(h_vec)
     if q_h <= 0:
         raise DomainError(f"H is not big: q(H) = {show_int(q_h)} must be positive")
     if p_h <= 0:
         raise DomainError(f"(H, ample) = {show_int(p_h)} must be positive")
-    if min(pairings, default=0) < 0:
-        p, d = next((p, d) for p, d in zip(pairings, ctx.peds + ctx.walls) if p < 0)
+    if min(h_peds + h_walls, default=0) < 0:
+        p, d = next((p, d) for p, d in zip(h_peds + h_walls, ctx.peds + ctx.walls) if p < 0)
         raise DomainError(f"H is not nef against the declared classes: (H, {show_vec(d)}) = {show_int(p)} < 0")
     if not check_strict_monotonic(ctx.dtype, q_h):
         raise HypothesisError(
@@ -124,9 +124,8 @@ def _classify(ctx: GeometricContext, H: Iterable[int]) -> tuple[int, int, Decomp
     n = ctx.dtype.n
     chi = rr_eval(ctx.dtype, q_h)
     matches: list[Decomposition] = []
-    # H - F = m*L, so (L, x) = ((H, x) - (F, x))/m: every test reads the (H, D)
-    # and F's row of the ped table (zip and map stop before the (H, W))
-    for f_vec, (q_f, f_ample, f_row), h_f in zip(ctx.peds, ctx.ped_table, pairings):
+    # H - F = m*L, so (L, x) = ((H, x) - (F, x))/m: every test reads the (H, D) and F's row of the ped table
+    for f_vec, (q_f, f_ample, f_row), h_f in zip(ctx.peds, ctx.ped_table, h_peds):
         if q_h - 2 * h_f + q_f != 0:  # m^2 q(L)
             continue
         diff = tuple(map(sub, h_vec, f_vec))
@@ -136,7 +135,7 @@ def _classify(ctx: GeometricContext, H: Iterable[int]) -> tuple[int, int, Decomp
             continue
         # L is isotropic and nonzero, so it lies in the closure iff (L, ample) > 0
         # and (L, D) >= 0 for every declared ped D
-        if f_ample >= p_h or any(map(gt, f_row, pairings)):
+        if f_ample >= p_h or any(map(gt, f_row, h_peds)):
             continue
         # q(H) = 2md + q(F) with q(H) > 0 > q(F) and m >= 2 forces d > 0
         dec = Decomposition(m, tuple(c // m for c in diff), f_vec, (h_f - q_f) // m)

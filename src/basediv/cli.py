@@ -115,7 +115,7 @@ def _walk_table(ctx, alpha, trace):
 
 def _cmd_reflect_bk(args):
     ctx = GeometricContext.from_json_dict(_load_json(args.input))
-    alpha = ctx.lat.vector(_parse_class(args.class_vec))
+    alpha = _parse_class(args.class_vec)
     trace = reflect_into_bk(ctx, alpha)
     return 0, trace.to_json_dict(), _walk_table(ctx, alpha, trace)
 
@@ -226,12 +226,9 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the buffered rest goes nowhere
         print("error: standard output was closed by its reader", file=sys.stderr)
         return 1
-    except StructuralError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BasedivError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, StructuralError) else 1
     except ValueError as exc:  # Python's digit limit, met printing a result or a diagnostic
         if "integer string conversion" not in str(exc):
             raise

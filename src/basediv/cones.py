@@ -56,6 +56,10 @@ WALK_STEP_LIMIT = 10**5
 CONTEXT_RANK_LIMIT = 64
 CONTEXT_CLASS_LIMIT = 1000  # peds plus walls
 
+# A class or declared vector with a coordinate of more bits than this is refused before
+# any product with it: q of such a class passes what rr_eval evaluates (2^18 bits: ~45 ms).
+COORD_BITS_LIMIT = 2**18
+
 
 class ContextCheck(_Record, hidden=("error",)):
     """One validated context invariant: name, outcome, human-readable detail,
@@ -96,6 +100,20 @@ def _raise_first(checks: list[ContextCheck]) -> None:
     if failed:
         first = next((c for c in failed if c.structural), failed[0])
         raise first.error or DomainError(f"invalid context ({first.name}): {first.detail}")
+
+
+def _bounded(v: Vec, name: str) -> Vec:
+    """v, or CapabilityError when a coordinate of v has more than COORD_BITS_LIMIT bits."""
+    bits = max(map(int.bit_length, v))
+    if bits > COORD_BITS_LIMIT:
+        raise CapabilityError(f"{name} has a coordinate of {bits} bits, over the limit of {COORD_BITS_LIMIT}")
+    return v
+
+
+def _read_vector(checks: list[ContextCheck], lat: Lattice, raw, label: str, path: str) -> Vec | None:
+    """raw read against lat and the coordinate bound, or None after the failed check."""
+    v = _attempt(checks, f"{label}-shape", lambda: lat.vector(as_array(raw, path)))
+    return None if v is None else _attempt(checks, f"{label}-size", lambda: _bounded(v, path))
 
 
 def _divisibility_holds(qd: int, dv: int) -> bool:
@@ -154,7 +172,7 @@ def run_context_checks(
     """Run every declared-data invariant, collecting per-item pass/fail;
     a malformed ample class, or a context over the size limits, ends the report."""
     checks: list[ContextCheck] = []
-    h = _attempt(checks, "ample-shape", lambda: lat.vector(as_array(ample, "ample")))
+    h = _read_vector(checks, lat, ample, "ample", "ample")
     if h is None:
         return checks
     qh = dot(h, gram_image(lat, h))
@@ -171,11 +189,11 @@ def run_context_checks(
         _fail(checks, "context-size", CapabilityError(f"a context of rank {lat.rank} with {count} peds and walls exceeds the limits: {limits}"))
         return checks
     for i, raw in enumerate(_attempt(checks, "peds", lambda: as_array(peds, "peds")) or ()):
-        d = _attempt(checks, f"ped[{i}]-shape", lambda: lat.vector(as_array(raw, f"peds[{i}]")))
+        d = _read_vector(checks, lat, raw, f"ped[{i}]", f"peds[{i}]")
         if d is not None:
             checks.extend(_check_ped(lat, h, d, f"ped[{i}]"))
     for i, raw in enumerate(_attempt(checks, "walls", lambda: as_array(walls, "walls")) or ()):
-        _attempt(checks, f"wall[{i}]-shape", lambda: lat.vector(as_array(raw, f"walls[{i}]")))
+        _read_vector(checks, lat, raw, f"wall[{i}]", f"walls[{i}]")
     return checks
 
 
@@ -203,7 +221,7 @@ class GeometricContext(_Record, hidden=("rows", "cols", "bias", "vmax", "words",
     columns into integers of one 64-bit word per row, with ``bias``, the
     coordinate bound ``vmax`` and the ``words`` that unpack them (see
     ``_pairings``); only ``_fill`` and ``_pairings`` read that layout.
-    ``ped_table`` holds per ped D_i its own pairing pass cut to the peds,
+    ``ped_table`` holds per ped D_i its own pairing pass without the walls,
     (q(D_i), (D_i, ample), ((D_i, D_0), ..., (D_i, D_{k-1}))), read instead
     of pairing again.
     """
@@ -233,25 +251,27 @@ class GeometricContext(_Record, hidden=("rows", "cols", "bias", "vmax", "words",
         words = struct.Struct(f"<{len(rows)}q")
         for name, value in zip(self.__slots__, (lat, ample, peds, walls, dtype, strong_rlf, note, rows, cols, bias, vmax, words)):
             _set(self, name, value)
-        _set(self, "ped_table", tuple((q, a, p[:len(peds)]) for q, a, p in map(self._pairings, peds)))
+        _set(self, "ped_table", tuple((q, a, p) for q, a, p, _ in map(self._pairings, peds)))
 
-    def _pairings(self, v: Vec) -> tuple[int, int, Vec]:
-        """q(v), (v, ample) and the (v, D_i), then the (v, W_j), for a checked v, in one pass.
+    def _pairings(self, v: Vec) -> tuple[int, int, Vec, Vec]:
+        """q(v), (v, ample), the (v, D_i) and the (v, W_j), for a checked v, in one pass.
 
         With P_i = sum_j rows[j][i] * 2^(64j), sum_i v_i*P_i = sum_j (v, row_j) * 2^(64j).
         If every |v_i| < vmax = 2^63 // (the largest L1 norm of a row), every
         |(v, row_j)| < 2^63, so the bias B = sum_j 2^(64j+63) puts each word in
         [0, 2^64), no word carries, and XOR with B leaves each word the two's
-        complement of (v, row_j).  A larger coordinate is paired row by row.
+        complement of (v, row_j).  A larger coordinate is paired row by row, and
+        one of more than COORD_BITS_LIMIT bits raises CapabilityError.
         """
         vmax = self.vmax
         if -vmax < min(v) and max(v) < vmax:
             words = self.words
             pairs = words.unpack(((sum(map(mul, v, self.cols)) + self.bias) ^ self.bias).to_bytes(words.size, "little"))
         else:
+            _bounded(v, "the class")
             pairs = tuple([sum(map(mul, v, g)) for g in self.rows])
-        r = self.lat.rank
-        return sum(map(mul, v, pairs)), pairs[r], pairs[r + 1:]  # map stops after the r entries of G*v
+        r, k = self.lat.rank, self.lat.rank + 1 + len(self.peds)
+        return sum(map(mul, v, pairs)), pairs[r], pairs[r + 1:k], pairs[k:]  # map stops after the r entries of G*v
 
     def to_json_dict(self) -> dict:
         data = {
@@ -394,12 +414,11 @@ def reflect_into_bk(ctx: GeometricContext, alpha: Iterable[int]) -> ReflectionTr
     current = ctx.lat.vector(alpha)
     if not any(current):
         raise DomainError("cannot walk the zero class")
-    qa, height, row = ctx._pairings(current)
+    qa, height, row, _ = ctx._pairings(current)
     if qa < 0:
         raise DomainError(f"q(alpha) = {show_int(qa)} must be nonnegative (closed positive cone)")
     if height <= 0:
         raise DomainError(f"(alpha, ample) = {show_int(height)} must be positive")
-    row = row[:len(ctx.peds)]  # the (alpha, D); the walls do not cut the walk
     steps: list[tuple[Vec, int]] = []
     while True:
         for i, p in enumerate(row):
@@ -432,7 +451,7 @@ def in_positive_cone(ctx: GeometricContext, alpha: Iterable[int], closed: bool =
     if type(closed) is not bool:
         raise DomainError(f"closed must be a bool, got {show_value(closed)}")
     a = ctx.lat.vector(alpha)
-    qa, pa, _ = ctx._pairings(a)
+    qa, pa, _, _ = ctx._pairings(a)
     return (qa >= 0 if closed else qa > 0) and (pa > 0 or closed and not any(a))
 
 
@@ -444,8 +463,8 @@ def in_bk_closure(ctx: GeometricContext, alpha: Iterable[int]) -> bool:
     complete as the declaration.
     """
     a = ctx.lat.vector(alpha)
-    qa, pa, pairs = ctx._pairings(a)
-    return (qa >= 0 and pa > 0 or not any(a)) and min(pairs[:len(ctx.peds)], default=0) >= 0
+    qa, pa, pairs, _ = ctx._pairings(a)
+    return (qa >= 0 and pa > 0 or not any(a)) and min(pairs, default=0) >= 0
 
 
 def ped_inequality_check(lat: Lattice, d: Iterable[int]) -> bool:

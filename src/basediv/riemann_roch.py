@@ -425,10 +425,10 @@ def _json_coefficient(c, path: str) -> tuple[int, int]:
 
 def _coefficient(c, path: str) -> tuple[int, int]:
     """A library coefficient as (num, den): an int is exact, a string is read
-    by _read_pair, and any other value goes through Fraction(c)."""
+    by _read_pair, a bool is refused, and any other value goes through Fraction(c)."""
     if isinstance(c, int):
-        return int(c), 1
-    if isinstance(c, str):
+        pair = None if isinstance(c, bool) else (int(c), 1)
+    elif isinstance(c, str):
         pair = _read_pair(c, path)
     else:
         from decimal import Decimal

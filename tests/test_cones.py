@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+import re
 import time
 
 import pytest
@@ -35,8 +36,9 @@ from basediv import (
     square,
     validate_context_payload,
 )
-from basediv.cones import CONTEXT_CLASS_LIMIT, CONTEXT_RANK_LIMIT, WALK_STEP_LIMIT
+from basediv.cones import CONTEXT_CLASS_LIMIT, CONTEXT_RANK_LIMIT, COORD_BITS_LIMIT, WALK_STEP_LIMIT
 from basediv.oracle import oracle_rank2_scan
+from conftest import fixture_path
 
 U = hyperbolic_plane()
 U_MINUS4 = direct_sum(hyperbolic_plane(), rank_one(-4))
@@ -256,13 +258,15 @@ def packed_pairing_cases(draw):
 @example((WORD_LIMIT_CTX, (2**61 - 1, 2**61 - 1, 1 - 2**61)))  # the packed path's largest pairings
 @example((WORD_LIMIT_CTX, (-1, 0, 1)))
 def test_packed_pairings_match_the_lattice(case):
-    """_pairings, packed or row by row, returns q(v), (v, ample), then (v, D)
-    for each ped and (v, W) for each wall, as lattice.pairing computes them."""
+    """_pairings, packed or row by row, returns q(v), (v, ample), the (v, D)
+    for each ped and the (v, W) for each wall, as lattice.pairing computes them."""
     ctx, v = case
-    q, pa, pairs = ctx._pairings(v)
+    q, pa, ped_pairs, wall_pairs = ctx._pairings(v)
     lat = ctx.lat
     assert (q, pa) == (square(lat, v), pairing(lat, v, ctx.ample))
-    assert list(pairs) == [pairing(lat, v, x) for x in ctx.peds + ctx.walls]
+    assert (len(ped_pairs), len(wall_pairs)) == (len(ctx.peds), len(ctx.walls))
+    assert list(ped_pairs) == [pairing(lat, v, d) for d in ctx.peds]
+    assert list(wall_pairs) == [pairing(lat, v, w) for w in ctx.walls]
 
 
 # U + <-2> with a wall whose G*W has the L1 norm 2^63, so vmax = 1 and both
@@ -290,9 +294,9 @@ def test_ped_table_rows_are_the_peds_pairing_passes(case):
 def test_word_limit_context_reaches_two_to_the_63():
     ctx = WORD_LIMIT_CTX
     assert ctx.vmax == 2**61
-    assert ctx._pairings((2**61, 2**61, 0))[2][1] == 2**63
-    assert ctx._pairings((0, 0, -(2**61)))[2][2] == 2**63
-    assert ctx._pairings((1 - 2**61, 1 - 2**61, 0))[2][1] == 4 - 2**63
+    assert ctx._pairings((2**61, 2**61, 0))[3][0] == 2**63
+    assert ctx._pairings((0, 0, -(2**61)))[3][1] == 2**63
+    assert ctx._pairings((1 - 2**61, 1 - 2**61, 0))[3][0] == 4 - 2**63
 
 
 # ---------------------------------------------------------------------------
@@ -604,3 +608,84 @@ def test_walk_with_peds_of_two_squares_matches_reference_walk():
 def test_public_entry_points_validate_their_vectors(k3_pencil, call):
     with pytest.raises(StructuralError):
         call(k3_pencil)
+
+
+# ---------------------------------------------------------------------------
+# the coordinate bound
+
+K3N2_DATA = json.loads(fixture_path("k3n2_rank3.json").read_text(encoding="utf-8"))
+K3N2 = GeometricContext.from_json_dict(K3N2_DATA)
+
+
+def over_the_bound(name):
+    """The CapabilityError message for a vector, so named, with a coordinate of one bit past the bound."""
+    return rf"^{re.escape(name)} has a coordinate of {COORD_BITS_LIMIT + 1} bits, over the limit of {COORD_BITS_LIMIT}$"
+
+
+@pytest.mark.parametrize(
+    "call, at_the_bound",
+    [
+        (classify, (DomainError, "H is not big")),
+        (reflect_into_bk, (DomainError, r"\(alpha, ample\) = .* must be positive")),
+        (in_bk_closure, False),
+        (in_positive_cone, False),
+    ],
+    ids=["classify", "walk", "closure", "positive-cone"],
+)
+def test_a_class_of_up_to_the_coordinate_bound_is_paired(call, at_the_bound):
+    """A class whose largest coordinate has exactly COORD_BITS_LIMIT bits is
+    paired row by row, and one of a bit more is refused before any product."""
+    w = -(2**COORD_BITS_LIMIT - 1)
+    if isinstance(at_the_bound, tuple):
+        with pytest.raises(at_the_bound[0], match=at_the_bound[1]):
+            call(K3N2, (w, w, w))
+    else:
+        assert call(K3N2, (w, w, w)) is at_the_bound
+    with pytest.raises(CapabilityError, match=over_the_bound("the class")):
+        call(K3N2, (2 * w, w, w))
+
+
+def declared_vectors(bits):
+    """k3n2_rank3's fields with an ample class, a ped and a wall whose largest
+    coordinate has the given bits: ample-positive, the ped failing only its
+    divisibility, the wall free of checks."""
+    x = 2**bits - 1
+    return {"ample": [1, x, -1], "peds": [[1, -1, x]], "walls": [[-x, -x, -x]]}
+
+
+@pytest.mark.parametrize(
+    "field, label, path, failed",
+    [("ample", "ample", "ample", []), ("peds", "ped[0]", "peds[0]", ["ped[0]-divisibility"]), ("walls", "wall[0]", "walls[0]", [])],
+)
+def test_declared_vectors_of_up_to_the_coordinate_bound_are_read(field, label, path, failed):
+    """The constructor and the JSON reader check each declared vector's size
+    right after its shape, as a failed <label>-size check (exit 1)."""
+    at, over = (dict(K3N2_DATA, **{field: declared_vectors(bits)[field]}) for bits in (COORD_BITS_LIMIT, COORD_BITS_LIMIT + 1))
+    ctx, checks = validate_context_payload(at)
+    assert [c.name for c in checks if not c.passed] == failed
+    if not failed:
+        assert ctx == GeometricContext(ctx.lat, at["ample"], at["peds"], at["walls"], ctx.dtype, True, at["note"])
+    ctx, checks = validate_context_payload(over)
+    assert ctx is None and [c.name for c in checks if not c.passed] == [f"{label}-size"]
+    assert not any(c.name.startswith(label) for c in checks if c.passed)
+    with pytest.raises(CapabilityError, match=over_the_bound(path)):
+        GeometricContext.from_json_dict(over)
+    with pytest.raises(CapabilityError, match=over_the_bound(path)):
+        GeometricContext(Lattice(over["lattice"]["gram"]), over["ample"], over["peds"], over["walls"])
+
+
+def test_a_four_million_bit_class_is_refused_at_once():
+    """classify and the walk on a class of 4,000,000-bit coordinates, and a
+    context declaring one, are refused in under 50 ms; they used to take seconds
+    before the DomainError."""
+    w = -(2**4_000_000 - 1)
+    calls = [
+        lambda: classify(K3N2, (w, w, w)),
+        lambda: reflect_into_bk(K3N2, (w, w, w)),
+        lambda: GeometricContext(K3N2.lat, K3N2.ample, K3N2.peds, walls=[(w, w, w)]),
+    ]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="has a coordinate of 4000000 bits"):
+            call()
+        assert time.perf_counter() - start < 0.05

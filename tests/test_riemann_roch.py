@@ -696,10 +696,17 @@ def test_unreadable_library_coefficient_is_a_domain_error(coefficient):
 
 
 def test_library_coefficients_of_other_types_are_exact():
-    """Fractions, floats and Decimals are read exactly, as Fraction(c) reads them;
-    a bool is the int it equals."""
-    rr = RRPolynomial([Fraction(-6, 4), 0.375, Decimal("2.50"), True])
+    """Fractions, floats and Decimals are read exactly, as Fraction(c) reads them."""
+    rr = RRPolynomial([Fraction(-6, 4), 0.375, Decimal("2.50"), 1])
     assert rr.coeffs == (Fraction(-3, 2), Fraction(3, 8), Fraction(5, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("coeffs, shown", [([True, 1], r"coeffs\[0\] must be a rational number, got True"), ([1, False, 1], r"coeffs\[1\] must be a rational number, got False")])
+def test_library_coefficients_refuse_bools(coeffs, shown):
+    """A bool is refused as a coefficient, as the JSON reader refuses true,
+    though Fraction(True) is 1."""
+    with pytest.raises(DomainError, match=f"^{shown}$"):
+        make_type(GENERIC, len(coeffs) - 1, coeffs=coeffs)
 
 
 @pytest.mark.parametrize(
