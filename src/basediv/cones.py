@@ -56,8 +56,9 @@ WALK_STEP_LIMIT = 10**5
 CONTEXT_RANK_LIMIT = 64
 CONTEXT_CLASS_LIMIT = 1000  # peds plus walls
 
-# A class or declared vector with a coordinate of more bits than this is refused before
-# any product with it: q of such a class passes what rr_eval evaluates (2^18 bits: ~45 ms).
+# A class or declared vector with a coordinate, or a context with a Gram entry, of more bits
+# than this is refused before any product with it: q of such a class passes what rr_eval
+# evaluates (2^18 bits: ~45 ms), and the Gram entries multiply every coordinate.
 COORD_BITS_LIMIT = 2**18
 
 
@@ -169,11 +170,15 @@ def run_context_checks(
     peds: Sequence[Sequence[int]] = (),
     walls: Sequence[Sequence[int]] = (),
 ) -> list[ContextCheck]:
-    """Run every declared-data invariant, collecting per-item pass/fail;
-    a malformed ample class, or a context over the size limits, ends the report."""
+    """Run every declared-data invariant, collecting per-item pass/fail; a malformed
+    ample class, or a Gram entry or a context over the size limits, ends the report."""
     checks: list[ContextCheck] = []
     h = _read_vector(checks, lat, ample, "ample", "ample")
     if h is None:
+        return checks
+    gram_bits = max(x.bit_length() for row in lat.gram for x in row)
+    if gram_bits > COORD_BITS_LIMIT:
+        _fail(checks, "lattice-size", CapabilityError(f"lattice.gram has an entry of {gram_bits} bits, over the limit of {COORD_BITS_LIMIT}"))
         return checks
     qh = dot(h, gram_image(lat, h))
     checks.append(

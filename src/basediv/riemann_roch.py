@@ -12,19 +12,21 @@ are expanded once into integer numerators over one common denominator, and
 that pair is the whole state: the registered families are built from it
 directly, evaluation is Horner's rule in integers followed by one exact
 division, and monotonicity certification and binomial inversion stay in
-exact arithmetic.  Generic coefficients are read straight to integer pairs:
-an int as itself, and a string of decimal digits a or a/b, signed and padded
-or not, by ``_read_pair``.  Fractions are made on demand only by ``coeffs``,
-for any other string (read by ``Fraction(str)``) and for a library
-coefficient of another type (a Fraction, float or Decimal), so parsing a
-context with such coefficients, Generic or not, never imports ``fractions``,
-``decimal`` and ``numbers`` (about 3 ms of start-up on a 2-vCPU Xeon host).
+exact arithmetic.  Generic coefficients, the library's and JSON's, have one
+reader, ``_read_coefficient``, which reads them straight to integer pairs: an
+int as itself, and a str, float, Fraction or Decimal by its text, decimal
+digits a or a/b, signed and padded or not, by ``_read_pair``.  Fractions are
+made on demand only by ``coeffs`` and for any other text (read by
+``Fraction(text)``), so parsing a context with int or such string
+coefficients, Generic or not, never imports ``fractions``, ``decimal`` and
+``numbers`` (about 3 ms of start-up on a 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from collections.abc import Sequence
 
 from .errors import CapabilityError, ConsistencyError, DomainError, StructuralError, require_int, show_int, show_value
@@ -56,6 +58,8 @@ RR_EVAL_BITS_LIMIT = 2**19
 class RRPolynomial(_Record):
     """Polynomial sum b_i x^i with exact rational coefficients, b_n > 0.
 
+    ``coeffs`` lists b_0..b_n as make_type takes them: ints exactly, and
+    strings, floats, Fractions and Decimals by their text, so 0.1 is 1/10.
     The state is ``nums`` and ``den``: the b_i as integer numerators over
     their least common denominator, in lowest terms, which is what
     evaluation uses.  ``coeffs`` makes the b_i as Fractions on demand.
@@ -67,7 +71,7 @@ class RRPolynomial(_Record):
     def __init__(self, coeffs: Sequence):
         if not isinstance(coeffs, (list, tuple)):
             raise DomainError(f"coeffs must be a list or tuple, got {show_value(coeffs)}")
-        self._store(*_over_lcm([_coefficient(c, f"coeffs[{i}]") for i, c in enumerate(coeffs)]))
+        self._store(*_over_lcm([_read_coefficient(c, f"coeffs[{i}]", DomainError) for i, c in enumerate(coeffs)]))
 
     @classmethod
     def _over(cls, nums: Sequence[int], den: int) -> "RRPolynomial":
@@ -196,12 +200,13 @@ def make_type(kind: str, n: int, coeffs: Sequence | None = None) -> DeformationT
     the closed form at n=1 disagrees with the K3 surface polynomial, so a
     2-dimensional "Kum" type would silently produce wrong chi values.
     Generic takes explicit coefficients b_0..b_n with b_n > 0, in a list or
-    tuple: ints, strings that Fraction(str) reads (digits a or a/b are read
-    without it), or values that Fraction(c) reads; any other coefficient
-    raises DomainError.  K3n and Kumn take coefficients only when they equal
-    the family's closed form, and give an equal type either way.  Degrees
-    above HALF_DIM_LIMIT, and a string or Decimal with a decimal exponent of
-    more than four digits, raise CapabilityError before anything is expanded.
+    tuple: ints, read exactly, or strings, floats, Fractions and Decimals, read
+    by their text as Fraction(str) reads it (digits a or a/b without it), so
+    the float 0.1 is 1/10; any other coefficient raises DomainError.  K3n and
+    Kumn take coefficients only when they equal the family's closed form, and
+    give an equal type either way.  Degrees above HALF_DIM_LIMIT, and a
+    coefficient whose text has a decimal exponent of more than four digits,
+    raise CapabilityError before anything is expanded.
     """
     if kind not in _KINDS:
         raise DomainError(f"unknown deformation kind {show_value(kind)}")
@@ -355,7 +360,8 @@ def invert_binomial(value: int, n: int) -> int | None:
     argument once the top is at least n.  As (m+1)^n <= n! C(m+n, n) <= (m+n)^n,
     m lies in [k - n, k - 1] for k the integer n-th root of n! * value, where a
     bisection finds it.  An n over HALF_DIM_LIMIT, or a value of more bits than
-    RR_EVAL_BITS_LIMIT (0.5 s at the limit), raises CapabilityError.
+    RR_EVAL_BITS_LIMIT, raises CapabilityError; at that limit a call takes 0.11 s
+    at n = 2, 0.32 s at n = 3 and 0.39 s at n = 500 (2-vCPU Xeon).
     """
     require_int("n", n, 1)
     require_int("value", value, 1)
@@ -374,9 +380,12 @@ def invert_binomial(value: int, n: int) -> int | None:
 
 
 def _iroot(x: int, n: int) -> int:
-    """floor(x^(1/n)) for x >= 1.  Newton's iteration in integers falls to the root
-    from any start above it; the start is 2^ceil(bits/n), or past 64 bits the root
-    of x's leading bits scaled back, which holds about half the root's bits."""
+    """floor(x^(1/n)) for x >= 1: math.isqrt(x) at n = 2, else Newton's iteration in
+    integers, which falls to the root from any start above it; the start is
+    2^ceil(bits/n), or past 64 bits the root of x's leading bits scaled back, which
+    holds about half the root's bits."""
+    if n == 2:
+        return math.isqrt(x)
     e = x.bit_length() // n // 2
     r = (_iroot(x >> n * e, n) + 1) << e if e >= 32 else 1 << -(-x.bit_length() // n)
     while (s := ((n - 1) * r + x // r ** (n - 1)) // n) < r:
@@ -387,7 +396,7 @@ def _iroot(x: int, n: int) -> int:
 def deformation_from_json_dict(data: dict) -> DeformationType:
     """The type a deformation object names.  "coeffs" is required for Generic
     and optional for K3n and Kumn, whose coefficients, when present, must equal
-    the closed form, as make_type's must."""
+    the closed form, as make_type's must; each is read as make_type reads it."""
     if not isinstance(data, dict) or "kind" not in data or "n" not in data:
         raise StructuralError('deformation JSON must be an object with "kind" and "n"')
     kind = data["kind"]
@@ -405,69 +414,51 @@ def deformation_from_json_dict(data: dict) -> DeformationType:
         raise StructuralError('Generic deformation JSON needs a "coeffs" array')
     coeffs = as_array(coeffs, "deformation.coeffs")
     _check_degree(n, len(coeffs))
-    pairs = [_json_coefficient(c, f"deformation.coeffs[{i}]") for i, c in enumerate(coeffs)]
+    pairs = [_read_coefficient(c, f"deformation.coeffs[{i}]", StructuralError) for i, c in enumerate(coeffs)]
     return DeformationType(kind, n, RRPolynomial._over(*_over_lcm(pairs)))
 
 
-def _json_coefficient(c, path: str) -> tuple[int, int]:
-    """A JSON number, or a string such as "5/4", as (num, den)."""
-    if type(c) is int:  # str() refuses an int of more than sys.get_int_max_str_digits() digits
-        return c, 1
-    try:
-        text = str(c)
-    except ValueError:  # a list holding such an int; read as "", which is refused
-        text = ""
-    pair = _read_pair(text, path)
-    if pair is None:
-        raise StructuralError(f"{path} must be a rational number, got {show_value(c)}")
-    return pair
-
-
-def _coefficient(c, path: str) -> tuple[int, int]:
-    """A library coefficient as (num, den): an int is exact, a string is read
-    by _read_pair, a bool is refused, and any other value goes through Fraction(c)."""
+def _read_coefficient(c, path: str, error: type) -> tuple[int, int]:
+    """A Generic coefficient as (num, den) in lowest terms with den > 0: the one
+    reader of the library's coefficients (error DomainError) and JSON's
+    (StructuralError).  An int is exact and a bool is refused; a str, float,
+    Fraction or Decimal is read by its text, by _read_pair, so the float 0.1 is
+    1/10; any other value is refused before it is converted.  A Fraction or a
+    Decimal exists only once its module is loaded, so neither is imported here."""
+    loaded = (getattr(sys.modules.get(m), name, ()) for m, name in (("fractions", "Fraction"), ("decimal", "Decimal")))
+    pair = None
     if isinstance(c, int):
         pair = None if isinstance(c, bool) else (int(c), 1)
-    elif isinstance(c, str):
+    elif isinstance(c, (str, float, *loaded)):
         pair = _read_pair(c, path)
-    else:
-        from decimal import Decimal
-        from fractions import Fraction
-        # Fraction(c) expands a Decimal's exponent, as it does a string's
-        if isinstance(c, Decimal) and c.is_finite() and abs(c.as_tuple().exponent) >= 10**4:
-            raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {c!r}")
-        try:
-            f = Fraction(c)
-            pair = f.numerator, f.denominator
-        except (TypeError, ValueError, OverflowError):  # None or a list; nan; inf
-            pair = None
     if pair is None:
-        raise DomainError(f"{path} must be a rational number, got {show_value(c)}")
+        raise error(f"{path} must be a rational number, got {show_value(c)}")
     return pair
 
 
-def _read_pair(text: str, path: str) -> tuple[int, int] | None:
-    """text as Fraction(text) reads it, as (num, den) in lowest terms with
-    den > 0, or None where Fraction refuses it.
+def _read_pair(c, path: str) -> tuple[int, int] | None:
+    """str(c) as Fraction(str(c)) reads it, as (num, den) in lowest terms with
+    den > 0, or None where str() or Fraction refuses it.
 
-    A decimal exponent of more than four digits raises CapabilityError first.
-    Decimal digits a or a/b, with surrounding whitespace and an optional sign,
-    are read here, so the usual coefficients never import fractions; every
-    other string goes to Fraction(text).
+    A decimal exponent of more than four digits raises CapabilityError first,
+    showing c.  Decimal digits a or a/b, with surrounding whitespace and an
+    optional sign, are read here, so the usual coefficients never import
+    fractions; every other text goes to Fraction(text).
     """
-    # Fraction expands the exponent: 10**(10**6) takes 0.24 s, 10**(10**7) 12 s on a 2-vCPU Xeon
-    exponent = text.lower().partition("e")[2].replace("_", "").lstrip("+-0")
-    if exponent.isdecimal() and len(exponent) > 4:
-        raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {show_value(text)}")
-    s = text.strip()
-    whole, slash, den_text = (s[1:] if s[:1] in ("+", "-") else s).partition("/")
     try:
+        text = str(c)
+        # Fraction expands the exponent: 10**(10**6) takes 0.24 s, 10**(10**7) 12 s on a 2-vCPU Xeon
+        exponent = text.lower().partition("e")[2].replace("_", "").lstrip("+-0")
+        if exponent.isdecimal() and len(exponent) > 4:
+            raise CapabilityError(f"{path} has a decimal exponent of more than four digits, got {show_value(c)}")
+        s = text.strip()
+        whole, slash, den_text = (s[1:] if s[:1] in ("+", "-") else s).partition("/")
         if not (whole.isdecimal() and (den_text.isdecimal() or not slash)):
             from fractions import Fraction
             f = Fraction(text)
             return f.numerator, f.denominator
         num, den = int(whole), int(den_text) if slash else 1
-    except (ValueError, ZeroDivisionError):  # unreadable, more than sys.get_int_max_str_digits() digits, or a/0
+    except (ValueError, ZeroDivisionError):  # unreadable, more digits than str() or int() take, or a/0
         return None
     if den == 0:
         return None

@@ -95,6 +95,9 @@ MUTANTS = (
     # a class is paired row by row and where a declared vector is read
     ("coord-bits-limit", CONES, "if bits > COORD_BITS_LIMIT:", "if bits >= COORD_BITS_LIMIT:", WALK_TESTS),
     ("coord-bits-limit-high", CONES, "if bits > COORD_BITS_LIMIT:", "if bits > COORD_BITS_LIMIT + 1:", WALK_TESTS),
+    # the Gram bound, on both sides of an entry of exactly COORD_BITS_LIMIT bits
+    ("lattice-size-limit", CONES, "if gram_bits > COORD_BITS_LIMIT:", "if gram_bits >= COORD_BITS_LIMIT:", WALK_TESTS),
+    ("lattice-size-limit-high", CONES, "if gram_bits > COORD_BITS_LIMIT:", "if gram_bits > COORD_BITS_LIMIT + 1:", WALK_TESTS),
     ("pairings-coord-bound", CONES, '            _bounded(v, "the class")\n', "", WALK_TESTS),
     ("context-coord-bound", CONES, 'lambda: _bounded(v, path))', 'lambda: v)', WALK_TESTS),
     # the packed pairing pass: its guard on both sides of zero, the bias bit, and the guard itself
@@ -128,6 +131,8 @@ MUTANTS = (
     # the binomial inversion's window [k - n, k - 1] around the integer root k
     ("binomial-window-low", RIEMANN_ROCH, "max(k - n, 1), ", "max(k - n + 1, 1), ", ("tests/test_riemann_roch.py",)),
     ("binomial-window-high", RIEMANN_ROCH, "max(k - 1, 1)", "max(k - 2, 1)", ("tests/test_riemann_roch.py",)),
+    # the integer root: math.isqrt answers n = 2 only
+    ("iroot-square", RIEMANN_ROCH, "if n == 2:", "if n <= 3:", ("tests/test_riemann_roch.py",)),
     ("rr-eval-guard", RIEMANN_ROCH, "if t.n * q.bit_length() > RR_EVAL_BITS_LIMIT:", "if q.bit_length() > RR_EVAL_BITS_LIMIT:", ("tests/test_riemann_roch.py",)),
     ("last-coordinate-remainder", LATTICE, "if rem == 0 and -bound <= x <= bound:", "if -bound <= x <= bound:", ("tests/test_lattice.py",)),
     ("completions-memo-key", LATTICE, "memo[i, c] = out", "memo[i, 0] = out", ("tests/test_lattice.py",)),
@@ -140,8 +145,11 @@ MUTANTS = (
     ("kumn-guard", CLASSIFIER, "if work > KUMN_SEARCH_LIMIT:", "if work >= KUMN_SEARCH_LIMIT:", ("tests/test_classifier.py",)),
     # a remainder modulo q(D) < 0 is never positive, so the mutant accepts every ped
     ("ped-divisibility", CONES, "return (2 * dv) % qd == 0", "return (2 * dv) % qd <= 0", ("tests/test_cones.py",)),
-    # the Generic coefficient reader, against Fraction(text) and the exponent guard
+    # the one Generic coefficient reader of the library and of JSON: the types it reads, and
+    # its reading of a text against Fraction(text) and the exponent guard
     ("coefficient-bool", RIEMANN_ROCH, "None if isinstance(c, bool) else", "None if False else", ("tests/test_riemann_roch.py",)),
+    ("coefficient-type", RIEMANN_ROCH, "elif isinstance(c, (str, float, *loaded)):", "elif True:", ("tests/test_riemann_roch.py",)),
+    ("coefficient-decimal", RIEMANN_ROCH, '("fractions", "Fraction"), ("decimal", "Decimal")', '("fractions", "Fraction"),', ("tests/test_riemann_roch.py",)),
     ("coefficient-sign", RIEMANN_ROCH, 'if s[:1] == "-":', 'if s[:1] == "+":', ("tests/test_riemann_roch.py",)),
     ("coefficient-split", RIEMANN_ROCH, "(den_text.isdecimal() or not slash)", "(den_text or not slash)", ("tests/test_riemann_roch.py",)),
     ("coefficient-zero-denominator", RIEMANN_ROCH, "if den == 0:\n        return None", "if False:\n        return None", ("tests/test_riemann_roch.py",)),

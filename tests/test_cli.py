@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 from basediv.cli import main
+from basediv.cones import COORD_BITS_LIMIT
 
 from conftest import fixture_path
 
@@ -275,6 +276,22 @@ def test_validate_context_refuses_an_oversized_context_with_exit_one(capsys, tmp
         assert code == 1 and "context-size" in out and "exceeds the limits" in out
     code, _, err = run(capsys, "classify", "--input", path, "--class", "3,1")
     assert code == 1 and err.startswith("error:") and "exceeds the limits" in err
+
+
+def test_validate_context_names_an_oversized_gram_entry(capsys, tmp_path):
+    """A Gram entry of more than COORD_BITS_LIMIT bits fails lattice-size with exit 1.
+    JSON carries such an entry only where int() reads that many digits, so the
+    digit limit is lifted while the file is written and read."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        g = 2 ** (COORD_BITS_LIMIT + 1) - 1
+        path = _with(tmp_path, lambda d: d["lattice"].update(gram=[[0, g], [g, -2]]))
+        for fmt in ("text", "json"):
+            code, out, _ = run(capsys, "validate-context", "--input", path, "--format", fmt)
+            assert code == 1 and "lattice-size" in out and f"an entry of {COORD_BITS_LIMIT + 1} bits" in out
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_package_runs_as_a_module():

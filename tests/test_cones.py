@@ -689,3 +689,39 @@ def test_a_four_million_bit_class_is_refused_at_once():
         with pytest.raises(CapabilityError, match="has a coordinate of 4000000 bits"):
             call()
         assert time.perf_counter() - start < 0.05
+
+
+def gram_payload(bits):
+    """U with its off-diagonal entry widened to 2^bits - 1, the ample class e + f and the wall e."""
+    g = 2**bits - 1
+    return {"lattice": {"gram": [[0, g], [g, -2]]}, "ample": [1, 1], "walls": [[1, 0]]}
+
+
+def test_a_gram_entry_of_up_to_the_coordinate_bound_is_read():
+    """A Gram entry of exactly COORD_BITS_LIMIT bits is read, with the check list of a
+    small one, and one of a bit more fails a lattice-size check (exit 1) that ends the
+    report before any product with the Gram matrix."""
+    ctx, checks = validate_context_payload(gram_payload(COORD_BITS_LIMIT))
+    assert ctx is not None and [c.name for c in checks] == [c.name for c in validate_context_payload(gram_payload(1))[1]]
+    over = gram_payload(COORD_BITS_LIMIT + 1)
+    ctx, checks = validate_context_payload(over)
+    assert ctx is None and [(c.name, c.passed) for c in checks] == [("lattice", True), ("deformation", True), ("lattice-size", False)]
+    message = rf"^lattice\.gram has an entry of {COORD_BITS_LIMIT + 1} bits, over the limit of {COORD_BITS_LIMIT}$"
+    with pytest.raises(CapabilityError, match=message):
+        GeometricContext.from_json_dict(over)
+    with pytest.raises(CapabilityError, match=message):
+        GeometricContext(Lattice(over["lattice"]["gram"]), over["ample"], walls=over["walls"])
+
+
+def test_a_four_million_bit_gram_entry_is_refused_at_once():
+    """A context on a Gram entry of 4,000,000 bits, with an ample class and a wall at
+    the coordinate bound, is refused in under 50 ms; it used to take 1.28 s to build."""
+    g, x = 2**4_000_000 - 1, 2**COORD_BITS_LIMIT - 1
+    lat = Lattice([[0, g], [g, -2]])
+    data = {"lattice": {"gram": lat.gram}, "ample": [x, x], "walls": [[x, 1]]}
+    calls = [lambda: GeometricContext(lat, (x, x), walls=[(x, 1)]), lambda: GeometricContext.from_json_dict(data)]
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match="^lattice.gram has an entry of 4000000 bits"):
+            call()
+        assert time.perf_counter() - start < 0.05

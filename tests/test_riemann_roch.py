@@ -1,4 +1,6 @@
 import copy
+import functools
+import json
 import math
 import pickle
 import sys
@@ -10,11 +12,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from basediv import (
+    BasedivError,
     CapabilityError,
     ConsistencyError,
     DeformationType,
     DomainError,
     GENERIC,
+    GeometricContext,
     K3N,
     KUMN,
     NumericalNLType,
@@ -28,7 +32,9 @@ from basediv import (
     rr_eval,
 )
 from basediv import riemann_roch
-from basediv.riemann_roch import HALF_DIM_LIMIT, RR_EVAL_BITS_LIMIT, _first_event, _root_bound, _step
+from basediv.riemann_roch import HALF_DIM_LIMIT, RR_EVAL_BITS_LIMIT, _first_event, _iroot, _root_bound, _step
+
+from conftest import fixture_path
 
 
 # (kind, n) pairs of the closed-form families, the half-dimension limit included
@@ -696,9 +702,82 @@ def test_unreadable_library_coefficient_is_a_domain_error(coefficient):
 
 
 def test_library_coefficients_of_other_types_are_exact():
-    """Fractions, floats and Decimals are read exactly, as Fraction(c) reads them."""
+    """Fractions, floats and Decimals are read by their text, as the JSON reader
+    reads a number: the float 0.1 is 1/10, its shortest repr, not its binary value."""
     rr = RRPolynomial([Fraction(-6, 4), 0.375, Decimal("2.50"), 1])
     assert rr.coeffs == (Fraction(-3, 2), Fraction(3, 8), Fraction(5, 2), Fraction(1))
+    t = make_type(GENERIC, 1, coeffs=[0.1, 1])
+    assert t.rr == deformation_from_json_dict({"kind": GENERIC, "n": 1, "coeffs": [0.1, 1]}).rr
+    assert t.rr.coeffs == (Fraction(1, 10), Fraction(1))
+    with pytest.raises(ConsistencyError, match=r"^RR value at q=0 is 1/10, not an integer"):
+        rr_eval(t, 0)
+
+
+class Half:
+    """Not a number type, though its text reads as one."""
+
+    def __str__(self):
+        return "1/2"
+
+
+NESTED = functools.reduce(lambda inner, _: [inner], range(10**5), [])
+
+
+@pytest.mark.parametrize("coefficient", [Half(), NESTED], ids=["text-of-another-type", "nested-10-5-deep"])
+def test_coefficients_of_other_types_are_refused_before_conversion(coefficient):
+    """Only ints, strings, floats, Fractions and Decimals are read: another value is
+    refused with a typed error at once on every path, without str(), which a list
+    nested 10^5 deep would meet with RecursionError."""
+    generic = {"kind": GENERIC, "n": 1, "coeffs": [coefficient, 1]}
+    context = dict(json.loads(fixture_path("k3n2_rank3.json").read_text(encoding="utf-8")), deformation=generic)
+    calls = [
+        (lambda: make_type(GENERIC, 1, coeffs=[coefficient, 1]), DomainError, "coeffs"),
+        (lambda: deformation_from_json_dict(generic), StructuralError, "deformation.coeffs"),
+        (lambda: GeometricContext.from_json_dict(context), StructuralError, "deformation.coeffs"),
+    ]
+    for call, error, path in calls:
+        start = time.perf_counter()
+        with pytest.raises(error, match=rf"^{path}\[0\] must be a rational number, got "):
+            call()
+        assert time.perf_counter() - start < 0.05
+
+
+def reading(call, prefix):
+    """The pairs of the type call() builds, or its refusal as (kind, message without prefix)."""
+    try:
+        return call().rr._pairs()
+    except BasedivError as exc:
+        kind = "capability" if isinstance(exc, CapabilityError) else "refused"
+        return kind, str(exc).removeprefix(prefix)
+
+
+COEFFICIENT_VALUES = st.one_of(
+    st.integers(),
+    st.tuples(st.integers(), st.integers(-9, 99)).map(lambda p: f"{p[0]}/{p[1]}"),
+    st.from_regex(r"[+-]?[0-9]{1,3}(\.[0-9]{0,3})?[eE][+-]?[0-9]{1,6}", fullmatch=True),
+    st.floats(),
+    st.fractions(),
+    st.decimals(),
+    st.sampled_from([True, None, [1], "x", b"1", Half(), Fraction(10**5000, 3), Decimal("1e1000000"), Decimal("sNaN")]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=COEFFICIENT_VALUES, index=st.integers(0, 1))
+@example(value=0.1, index=0)
+@example(value=1e300, index=0)
+@example(value=Decimal("-2.50"), index=1)
+@example(value="1e-99999", index=0)
+def test_library_and_json_read_every_coefficient_alike(value, index):
+    """make_type and deformation_from_json_dict give a coefficient the same (num, den),
+    or the same kind of refusal naming the same index: DomainError on one path and
+    StructuralError on the other where it is not read, CapabilityError on both
+    where its exponent is too long."""
+    coeffs = [1, 1]
+    coeffs[index] = value
+    library = reading(lambda: make_type(GENERIC, 1, coeffs=coeffs), "")
+    data = {"kind": GENERIC, "n": 1, "coeffs": coeffs}
+    assert reading(lambda: deformation_from_json_dict(data), "deformation.") == library
 
 
 @pytest.mark.parametrize("coeffs, shown", [([True, 1], r"coeffs\[0\] must be a rational number, got True"), ([1, False, 1], r"coeffs\[1\] must be a rational number, got False")])
@@ -741,3 +820,23 @@ def test_long_decimal_exponent_of_a_decimal_is_refused_at_once(text):
     with pytest.raises(CapabilityError, match=r"^coeffs\[0\] has a decimal exponent of more than four digits, got Decimal\('1E[+-]1000000'\)$"):
         make_type(GENERIC, 1, coeffs=[Decimal(text), 1])
     assert time.perf_counter() - start < 0.1
+
+
+@st.composite
+def root_cases(draw):
+    """(x, n) with x any value up to 3000 bits, or a perfect n-th power or one off it."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        return draw(st.integers(1, 2**3000)), n
+    return max(1, draw(st.integers(1, 2**300)) ** n + draw(st.integers(-1, 1))), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=root_cases())
+def test_iroot_is_the_integer_nth_root(case):
+    """_iroot(x, n) is the r with r^n <= x < (r + 1)^n, and math.isqrt(x) at n = 2."""
+    x, n = case
+    r = _iroot(x, n)
+    assert r**n <= x < (r + 1) ** n
+    if n == 2:
+        assert r == math.isqrt(x)
